@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke trace-smoke serve-smoke metrics-smoke soak router-smoke chaos-soak chaos-bench cache-gate fleet-trace-smoke affinity-bench membership-soak membership-bench slo-smoke slo-bench
+.PHONY: ci vet build test race route-gate bench bench-smoke trace-smoke serve-smoke metrics-smoke soak router-smoke chaos-soak chaos-bench cache-gate fleet-trace-smoke affinity-bench membership-soak membership-bench slo-smoke slo-bench
 
 # ci is the full verification gate: static analysis, build, the whole test
 # suite, a race-detector pass over the concurrency-bearing packages (the
@@ -25,8 +25,10 @@ GO ?= go
 # predicted epoch, ~1/N key movement per step and zero leaked goroutines),
 # and the SLO smoke (flood a 1-worker sufserved until the latency objective
 # burns, assert the state transition in /metrics + the flight recorder and
-# exactly one rate-limited profile capture validated by tracecheck -profiles).
-ci: vet build test race bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
+# exactly one rate-limited profile capture validated by tracecheck -profiles),
+# and the route gate (default Hybrid decides every suite formula and invalid
+# variant within a 3 s deadline, with the known verdict).
+ci: vet build test race route-gate bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +38,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# route-gate: default Hybrid routing must decide the whole suite plus the
+# invalid variants, each within a 3 s deadline, with checked verdicts and
+# models.
+route-gate:
+	$(GO) test -count=1 -run '^TestHybridDecidesSuite$$' .
 
 race:
 	$(GO) test -race -short ./internal/core ./internal/sat ./internal/obs \

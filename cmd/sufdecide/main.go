@@ -298,12 +298,12 @@ func main() {
 	method := flag.String("method", "hybrid", "decision method: hybrid, sd, eij, lazy, svc or portfolio")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit (0 = none)")
 	thold := flag.Int("thold", 0, "SEP_THOLD for the hybrid method (0 = default)")
-	maxTrans := flag.Int("maxtrans", 0, "transitivity-constraint cap (0 = none); hybrid degrades the blown class to SD")
+	maxTrans := flag.Int("maxtrans", 0, "transitivity-constraint cap (0 = none; hybrid: the default budget); hybrid sends a class that does not fit to SD")
 	maxConflicts := flag.Int64("maxconflicts", 0, "SAT conflict cap (0 = none)")
 	maxCNF := flag.Int("maxcnf", 0, "CNF problem-clause cap (0 = none)")
 	maxMem := flag.Int64("maxmem", 0, "estimated encoding+solver memory cap in bytes (0 = none)")
 	workers := flag.Int("j", 1, "parallel SAT workers racing with clause sharing (0 = NumCPU)")
-	noDegrade := flag.Bool("nodegrade", false, "fail on a blown transitivity cap instead of degrading the class to SD")
+	noDegrade := flag.Bool("nodegrade", false, "route hybrid classes on SEP_THOLD alone and fail on a blown transitivity cap")
 	var stats statsFlag
 	flag.Var(&stats, "stats", "print the run report: -stats for text, -stats=json for JSON")
 	statsOut := flag.String("stats-out", "", "write the -stats report to this file instead of stdout")

@@ -1,6 +1,7 @@
 package sufsat_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,6 +109,34 @@ func TestHybridMatchesPortfolioOnSample(t *testing.T) {
 		rp := core.DecidePortfolio(f, b, core.Options{Timeout: 30 * time.Second, MaxTrans: 1 << 20})
 		if rp.Status != core.Valid {
 			t.Fatalf("%s via portfolio: %v", name, rp.Status)
+		}
+	}
+}
+
+// TestHybridDecidesSuite is the routing gate: default Hybrid must decide
+// every suite formula and every invalid variant within a 3 s deadline, with
+// the known verdict, and every Invalid model must falsify its formula. A
+// routing heuristic that sends a class into a transitivity blow-up turns
+// that input into a deadline miss here.
+func TestHybridDecidesSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decides the whole suite")
+	}
+	for _, bm := range append(bench.Suite(), bench.InvalidVariants()...) {
+		f, b := bm.Build()
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		res := core.DecideCtx(ctx, f, b, core.Options{})
+		cancel()
+		want := core.Invalid
+		if bm.Valid {
+			want = core.Valid
+		}
+		if res.Status != want {
+			t.Errorf("%s: got %v (%v) after %v, want %v", bm.Name, res.Status, res.Err, res.Stats.TotalTime, want)
+			continue
+		}
+		if want == core.Invalid && suf.EvalBool(f, res.Model.Interp()) {
+			t.Errorf("%s: the Invalid model does not falsify the formula", bm.Name)
 		}
 	}
 }

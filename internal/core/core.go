@@ -19,15 +19,14 @@
 // context through every stage (both encoders, transitivity generation and
 // the SAT search poll it), explicit resource budgets bound translation and
 // search, and every failure mode is classified into the Status taxonomy of
-// status.go. When a class's EIJ transitivity generation exhausts its budget
-// under the Hybrid method, the class is re-routed to the SD encoder and
-// encoding retried — a robustness-driven extension of SEP_THOLD routing —
-// instead of failing the call.
+// status.go. Under the Hybrid method, routing also counts each EIJ class's
+// transitivity clauses exactly before encoding and re-routes a class that
+// does not fit the budget to the SD encoder — a robustness-driven extension
+// of SEP_THOLD routing — instead of letting F_trans blow up.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -80,6 +79,23 @@ func (m Method) String() string {
 // the difference reflects benchmark scale, not a different procedure.
 const DefaultSepThreshold = 200
 
+// DefaultTransBudget is the transitivity-clause budget Hybrid routing
+// probes classes against when MaxTransClauses is unset (see route). SepCnt
+// cannot see the transitivity blow-up of classes with few predicates but
+// wide offset ranges — the invariant-checking formulas of the paper's
+// Figure 5 — so the budget is the safety net SEP_THOLD lacks. Derivation on
+// this implementation's suite, with exact per-formula counts of the classes
+// SEP_THOLD leaves on EIJ (perconstraint.CountTrans, default order): the
+// formulas fall into two groups. Where EIJ beats pure SD (dlx, cvt, lsu,
+// elf, …; e.g. dlx-6 and cvt-7 run ~2× faster than SD) F_trans is at most
+// 89,741 clauses (dlx-6; its class 0 alone has 86,362). Where SD wins by
+// 20× or more (ooo.inv-2..10) some class needs at least 253,094
+// (ooo.inv-2, class 1) and the largest exceed 5M. As §4.1 does for
+// SEP_THOLD, the default is the round number just above the fast group's
+// largest count: the smallest multiple of 100,000 greater than 89,741.
+// Only ooo.inv-2..10 classes are demoted by it.
+const DefaultTransBudget = 100_000
+
 // Options configures Decide.
 type Options struct {
 	// Method selects the encoding; the zero value is Hybrid.
@@ -89,10 +105,13 @@ type Options struct {
 	// MaxTrans caps EIJ transitivity constraints (0 = unlimited).
 	// Deprecated: alias for MaxTransClauses, which wins when both are set.
 	MaxTrans int
-	// MaxTransClauses caps EIJ transitivity-constraint generation
-	// (0 = unlimited). Under the Hybrid method the cap degrades gracefully:
-	// the class whose generation exhausts it is re-routed to the SD encoder
-	// and encoding retried (see NoDegrade); pure EIJ fails with ResourceOut.
+	// MaxTransClauses caps EIJ transitivity-constraint generation. Under the
+	// Hybrid method with degradation on (NoDegrade unset), routing counts
+	// each class's transitivity clauses exactly before encoding and sends a
+	// class that does not fit what is left of the budget to the SD encoder;
+	// there 0 means DefaultTransBudget. Otherwise 0 means unlimited, and
+	// exhausting the cap fails the call with ResourceOut (pure EIJ, or
+	// Hybrid with NoDegrade).
 	MaxTransClauses int
 	// MaxCNFClauses caps the problem clauses handed to the SAT solver
 	// (0 = unlimited); exceeding it returns ResourceOut with ErrClauseBudget.
@@ -110,10 +129,11 @@ type Options struct {
 	// is generally not deterministic run to run (which worker wins depends on
 	// scheduling), though the verdict itself never varies.
 	SolverWorkers int
-	// NoDegrade disables the Hybrid per-class EIJ→SD fallback on
-	// transitivity-budget exhaustion, so the budget aborts the call like the
-	// paper's translation-stage timeout (the experiment harness sets this to
-	// preserve the measured protocol).
+	// NoDegrade disables the Hybrid per-class EIJ→SD demotion, so classes
+	// route on SEP_THOLD alone, as in the paper, and an exhausted
+	// MaxTransClauses aborts the call like the paper's translation-stage
+	// timeout (the experiment harness sets this to preserve the measured
+	// protocol).
 	NoDegrade bool
 	// Ackermann selects Ackermann's function elimination instead of the
 	// nested-ITE scheme — the positive-equality ablation.
@@ -157,8 +177,9 @@ type Stats struct {
 	SepPreds  int // total distinct separation predicates (Fig. 3 x-axis)
 	Classes   int // number of symbolic-constant classes
 	SDClasses int // classes encoded with SD
-	// DemotedClasses counts classes re-routed from EIJ to SD because their
-	// transitivity generation exhausted the budget (included in SDClasses).
+	// DemotedClasses counts classes Hybrid routing moved from EIJ to SD
+	// because their transitivity-clause count did not fit the budget
+	// (included in SDClasses).
 	DemotedClasses int
 	PFraction      float64
 
@@ -310,67 +331,54 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 		AttrInt("sep_thold", threshold)
 	anSpan.End()
 
-	// 3. Boolean encoding, with graceful degradation: a class whose EIJ
-	// transitivity generation exhausts the budget is re-routed to SD and the
-	// encoding retried (Hybrid only; each class is demoted at most once, so
-	// the loop terminates).
-	var (
-		bb      *boolexpr.Builder
-		bvar    *boolexpr.Node
-		sdEnc   *smalldomain.Encoder
-		eijEnc  *perconstraint.Encoder
-		clauses []perconstraint.TransClause
-		demoted map[*sep.Class]bool
-	)
-	for {
-		if err := checkpoint(StageEncode); err != nil {
-			return fail(err, true)
-		}
-		encSpan := rec.StartSpan(StageEncode)
-		bb = boolexpr.NewBuilder()
-		res.Stats.SDClasses = 0
-		res.Stats.SDStats = smalldomain.Stats{}
-		var timing *encTiming
-		if rec != nil {
-			timing = new(encTiming)
-		}
-		bvar, sdEnc, eijEnc, err = encode(ctx, info, b, bb, opts, threshold, deadline, demoted, &res.Stats, timing)
-		if err != nil {
-			return fail(err, true)
-		}
-		encSpan.AttrInt("sd_classes", res.Stats.SDClasses).
-			AttrInt("eij_classes", res.Stats.Classes-res.Stats.SDClasses).
-			AttrInt("demoted_classes", res.Stats.DemotedClasses).
-			AttrInt("bool_nodes", bb.NumNodes())
-		if timing != nil {
-			encSpan.AttrFloat("sd_ms", float64(timing.sdNS)/1e6).
-				AttrFloat("eij_ms", float64(timing.eijNS)/1e6)
-		}
-		encSpan.End()
-		if err := checkpoint(StageTrans); err != nil {
-			return fail(err, true)
-		}
-		transSpan := rec.StartSpan(StageTrans)
-		clauses, err = eijEnc.TransClauseList()
-		if err == nil {
-			transSpan.AttrInt("trans_clauses", len(clauses)).
-				AttrInt("trans_constraints", eijEnc.Stats().TransConstraints)
-			transSpan.End()
-			break
-		}
-		transSpan.AttrBool("budget_exhausted", true).End()
-		var be *perconstraint.BudgetError
-		if opts.Method == Hybrid && !opts.NoDegrade &&
-			errors.As(err, &be) && be.Class != nil && !demoted[be.Class] {
-			if demoted == nil {
-				demoted = make(map[*sep.Class]bool)
-			}
-			demoted[be.Class] = true
-			res.Stats.DemotedClasses++
-			continue
-		}
+	// 3. Routing and Boolean encoding. Under Hybrid with degradation on,
+	// route probes transitivity cost exactly, so generation stays within
+	// the budget and no class is re-encoded.
+	if err := checkpoint(StageEncode); err != nil {
 		return fail(err, true)
 	}
+	encSpan := rec.StartSpan(StageEncode)
+	rt, err := route(ctx, info, opts, threshold)
+	if err != nil {
+		return fail(err, true)
+	}
+	res.Stats.SDClasses = len(rt.sd)
+	res.Stats.DemotedClasses = rt.demoted
+	bb := boolexpr.NewBuilder()
+	var timing *encTiming
+	if rec != nil {
+		timing = new(encTiming)
+	}
+	bvar, sdEnc, eijEnc, err := encode(ctx, info, b, bb, opts, rt.sd, timing)
+	if err != nil {
+		return fail(err, true)
+	}
+	res.Stats.SDStats = sdEnc.Stats()
+	encSpan.AttrInt("sd_classes", res.Stats.SDClasses).
+		AttrInt("eij_classes", res.Stats.Classes-res.Stats.SDClasses).
+		AttrInt("demoted_classes", res.Stats.DemotedClasses).
+		AttrInt("bool_nodes", bb.NumNodes())
+	if rt.probed {
+		encSpan.AttrFloat("probe_ms", float64(rt.probeNS)/1e6).
+			AttrInt("probe_trans_clauses", rt.transClauses)
+	}
+	if timing != nil {
+		encSpan.AttrFloat("sd_ms", float64(timing.sdNS)/1e6).
+			AttrFloat("eij_ms", float64(timing.eijNS)/1e6)
+	}
+	encSpan.End()
+	if err := checkpoint(StageTrans); err != nil {
+		return fail(err, true)
+	}
+	transSpan := rec.StartSpan(StageTrans)
+	clauses, err := eijEnc.TransClauseList()
+	if err != nil {
+		transSpan.AttrBool("budget_exhausted", true).End()
+		return fail(err, true)
+	}
+	transSpan.AttrInt("trans_clauses", len(clauses)).
+		AttrInt("trans_constraints", eijEnc.Stats().TransConstraints)
+	transSpan.End()
 	// Validity of F ⟺ unsatisfiability of F_trans ∧ ¬F_bvar. ¬F_bvar goes
 	// through Tseitin; F_trans is asserted directly in clausal form.
 	res.Stats.BoolNodes = bb.NumNodes()
@@ -383,27 +391,7 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 	solver.Ctx = ctx
 	solver.ConflictBudget = opts.MaxConflicts
 	solver.Probes = rec.Probes()
-	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver)
-	varLit := func(n *boolexpr.Node) sat.Lit {
-		if l, ok := cnf.VarLits[n.Name()]; ok {
-			return l
-		}
-		l := sat.PosLit(solver.NewVar())
-		cnf.VarLits[n.Name()] = l
-		return l
-	}
-	lits := make([]sat.Lit, 0, 3)
-	for _, cl := range clauses {
-		lits = lits[:0]
-		for _, tl := range cl {
-			l := varLit(tl.Var)
-			if tl.Neg {
-				l = l.Not()
-			}
-			lits = append(lits, l)
-		}
-		solver.AddClause(lits...)
-	}
+	cnf := assertQuery(solver, bb, bvar, clauses)
 	res.Stats.EncodeTime = time.Since(start)
 	res.Stats.CNFClauses = solver.Stats().Clauses
 	cnfSpan.AttrInt("vars", solver.Stats().Vars).AttrInt("cnf_clauses", solver.Stats().Clauses)
@@ -495,22 +483,112 @@ func timedAtom(f func(*suf.BoolExpr) (*boolexpr.Node, error), acc *int64) func(*
 	}
 }
 
+// assertQuery loads F_trans ∧ ¬F_bvar into solver: ¬F_bvar through Tseitin,
+// the transitivity clauses directly in clausal form.
+func assertQuery(solver *sat.Solver, bb *boolexpr.Builder, bvar *boolexpr.Node, clauses []perconstraint.TransClause) boolexpr.CNF {
+	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver)
+	varLit := func(n *boolexpr.Node) sat.Lit {
+		if l, ok := cnf.VarLits[n.Name()]; ok {
+			return l
+		}
+		l := sat.PosLit(solver.NewVar())
+		cnf.VarLits[n.Name()] = l
+		return l
+	}
+	lits := make([]sat.Lit, 0, 3)
+	for _, cl := range clauses {
+		lits = lits[:0]
+		for _, tl := range cl {
+			l := varLit(tl.Var)
+			if tl.Neg {
+				l = l.Not()
+			}
+			lits = append(lits, l)
+		}
+		solver.AddClause(lits...)
+	}
+	return cnf
+}
+
+// routing is the per-class encoder choice of one run.
+type routing struct {
+	// sd holds the classes encoded with SD.
+	sd map[*sep.Class]bool
+	// demoted counts the classes the transitivity probe moved to SD.
+	demoted int
+	// probed reports that the probe ran; transClauses is then the exact
+	// F_trans size of the classes left on EIJ, and probeNS its cost.
+	probed       bool
+	transClauses int
+	probeNS      int64
+}
+
+// route picks each class's encoder. SD and EIJ put every class on their own
+// encoder. Hybrid sends a class to SD when SepCnt(V_i) > SEP_THOLD (§4 step
+// 5); with degradation on (NoDegrade unset) it then probes every remaining
+// class in class-ID order, counting its transitivity clauses exactly
+// (perconstraint.CountTrans) against what is left of the shared budget —
+// MaxTransClauses, or DefaultTransBudget when unset. A class whose count
+// does not fit is demoted to SD, so generation over the classes left on EIJ
+// cannot exhaust the budget.
+func route(ctx context.Context, info *sep.Info, opts Options, threshold int) (routing, error) {
+	rt := routing{sd: make(map[*sep.Class]bool)}
+	switch opts.Method {
+	case SD:
+		for _, cl := range info.Classes {
+			rt.sd[cl] = true
+		}
+		return rt, nil
+	case EIJ:
+		return rt, nil
+	}
+	for _, cl := range info.Classes {
+		if cl.SepCnt > threshold {
+			rt.sd[cl] = true
+		}
+	}
+	if opts.NoDegrade {
+		return rt, nil
+	}
+	start := time.Now()
+	budget := opts.transBudget()
+	if budget <= 0 {
+		budget = DefaultTransBudget
+	}
+	for _, cl := range info.Classes {
+		if rt.sd[cl] {
+			continue
+		}
+		// The encoder generates with the default order; probe the same one.
+		n, over, err := perconstraint.CountTrans(ctx, cl.Preds, perconstraint.MinDegree, budget)
+		if err != nil {
+			return rt, err
+		}
+		if over {
+			rt.sd[cl] = true
+			rt.demoted++
+			continue
+		}
+		budget -= n
+		rt.transClauses += n
+	}
+	rt.probed = true
+	rt.probeNS = time.Since(start).Nanoseconds()
+	return rt, nil
+}
+
 // encode builds F_bvar with the selected method and returns the EIJ encoder
 // whose pending transitivity constraints the caller must assert. For Hybrid,
-// atoms are routed per class: SepCnt(V_i) > SEP_THOLD → SD, otherwise EIJ
-// (§4 step 5); class-less atoms (only V_p or single-constant comparisons)
-// go to EIJ, which folds them to constants. Classes in demoted are forced to
-// SD regardless of SepCnt (the transitivity-budget degradation path).
+// atoms of the classes in sd go to SD and all others to EIJ (class-less
+// atoms — only V_p or single-constant comparisons — go to EIJ, which folds
+// them to constants).
 func encode(ctx context.Context, info *sep.Info, b *suf.Builder, bb *boolexpr.Builder, opts Options,
-	threshold int, deadline time.Time, demoted map[*sep.Class]bool, st *Stats, timing *encTiming) (bvar *boolexpr.Node, sdEnc *smalldomain.Encoder, eij *perconstraint.Encoder, err error) {
+	sd map[*sep.Class]bool, timing *encTiming) (bvar *boolexpr.Node, sdEnc *smalldomain.Encoder, eij *perconstraint.Encoder, err error) {
 
-	method := opts.Method
 	sdEnc = smalldomain.NewEncoder(info, b, bb)
 	sdEnc.Ctx = ctx
 	eijEnc := perconstraint.NewEncoder(info, b, bb)
 	eijEnc.MaxTrans = opts.transBudget()
-	eijEnc.Deadline = deadline
-	eijEnc.Interrupt = opts.Interrupt
 	eijEnc.Ctx = ctx
 
 	encodeSD, encodeEIJ := sdEnc.EncodeAtom, eijEnc.EncodeAtom
@@ -519,14 +597,14 @@ func encode(ctx context.Context, info *sep.Info, b *suf.Builder, bb *boolexpr.Bu
 		encodeEIJ = timedAtom(encodeEIJ, &timing.eijNS)
 	}
 	var atom func(a *suf.BoolExpr) (*boolexpr.Node, error)
-	switch method {
+	switch opts.Method {
 	case SD:
 		atom = encodeSD
 	case EIJ:
 		atom = encodeEIJ
 	default:
 		atom = func(a *suf.BoolExpr) (*boolexpr.Node, error) {
-			if cl := atomClass(info, a); cl != nil && (cl.SepCnt > threshold || demoted[cl]) {
+			if cl := atomClass(info, a); cl != nil && sd[cl] {
 				return encodeSD(a)
 			}
 			return encodeEIJ(a)
@@ -539,14 +617,6 @@ func encode(ctx context.Context, info *sep.Info, b *suf.Builder, bb *boolexpr.Bu
 	bvar, err = w.Encode(info.Formula)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	st.SDStats = sdEnc.Stats()
-	if method != EIJ {
-		for _, cl := range info.Classes {
-			if method == SD || cl.SepCnt > threshold || demoted[cl] {
-				st.SDClasses++
-			}
-		}
 	}
 	return bvar, sdEnc, eijEnc, nil
 }

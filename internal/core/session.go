@@ -70,7 +70,6 @@ func OpenSession(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Opti
 	}
 	ctx, cancel := wrapLegacy(ctx, &opts)
 	defer cancel()
-	deadline, _ := ctx.Deadline()
 	threshold := opts.SepThreshold
 	if threshold == 0 {
 		threshold = DefaultSepThreshold
@@ -102,69 +101,34 @@ func OpenSession(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Opti
 	s.encodeStats.SepPreds = info.NumSepPreds
 	s.encodeStats.Classes = len(info.Classes)
 
-	// 3. Boolean encoding with the same EIJ→SD degradation ladder as
-	// DecideCtx: a class whose transitivity generation blows the budget is
-	// demoted to SD and the encoding retried (Hybrid only, once per class).
-	var (
-		bb      *boolexpr.Builder
-		bvar    *boolexpr.Node
-		clauses []perconstraint.TransClause
-		demoted map[*sep.Class]bool
-	)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bb = boolexpr.NewBuilder()
-		s.encodeStats.SDClasses = 0
-		s.encodeStats.SDStats = smalldomain.Stats{}
-		bvar, s.sdEnc, s.eijEnc, err = encode(ctx, info, b, bb, opts, threshold, deadline, demoted, &s.encodeStats, nil)
-		if err != nil {
-			return nil, err
-		}
-		clauses, err = s.eijEnc.TransClauseList()
-		if err == nil {
-			break
-		}
-		var be *perconstraint.BudgetError
-		if opts.Method == Hybrid && !opts.NoDegrade &&
-			errors.As(err, &be) && be.Class != nil && !demoted[be.Class] {
-			if demoted == nil {
-				demoted = make(map[*sep.Class]bool)
-			}
-			demoted[be.Class] = true
-			s.encodeStats.DemotedClasses++
-			continue
-		}
+	// 3. Routing and Boolean encoding, as in DecideCtx.
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	rt, err := route(ctx, info, opts, threshold)
+	if err != nil {
+		return nil, err
+	}
+	s.encodeStats.SDClasses = len(rt.sd)
+	s.encodeStats.DemotedClasses = rt.demoted
+	bb := boolexpr.NewBuilder()
+	bvar, sdEnc, eijEnc, err := encode(ctx, info, b, bb, opts, rt.sd, nil)
+	if err != nil {
+		return nil, err
+	}
+	clauses, err := eijEnc.TransClauseList()
+	if err != nil {
+		return nil, err
+	}
+	s.sdEnc, s.eijEnc = sdEnc, eijEnc
+	s.encodeStats.SDStats = sdEnc.Stats()
 	s.encodeStats.BoolNodes = bb.NumNodes()
-	s.encodeStats.EIJStats = s.eijEnc.Stats()
+	s.encodeStats.EIJStats = eijEnc.Stats()
 
 	// CNF: validity of F[γ] ⟺ UNSAT(F_trans ∧ ¬F_bvar ∧ γ).
 	solver := sat.New()
 	solver.ConflictBudget = opts.MaxConflicts
-	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver)
-	varLit := func(n *boolexpr.Node) sat.Lit {
-		if l, ok := cnf.VarLits[n.Name()]; ok {
-			return l
-		}
-		l := sat.PosLit(solver.NewVar())
-		cnf.VarLits[n.Name()] = l
-		return l
-	}
-	lits := make([]sat.Lit, 0, 3)
-	for _, cl := range clauses {
-		lits = lits[:0]
-		for _, tl := range cl {
-			l := varLit(tl.Var)
-			if tl.Neg {
-				l = l.Not()
-			}
-			lits = append(lits, l)
-		}
-		solver.AddClause(lits...)
-	}
+	cnf := assertQuery(solver, bb, bvar, clauses)
 	s.solver = solver
 	s.cnf = cnf
 	s.encodeStats.CNFClauses = solver.Stats().Clauses

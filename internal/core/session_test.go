@@ -205,3 +205,33 @@ func TestSessionRepeatQueriesCheaper(t *testing.T) {
 		t.Errorf("rerun cost %d conflicts > first cost %d: no incrementality", rerun, first)
 	}
 }
+
+// TestSessionRoutesLikeDecide: OpenSession shares DecideCtx's routing, so a
+// class whose transitivity count does not fit the budget is encoded with SD
+// in a single pass, and NoDegrade fails on the budget instead.
+func TestSessionRoutesLikeDecide(t *testing.T) {
+	build := func() (*suf.BoolExpr, *suf.Builder) {
+		b := suf.NewBuilder()
+		clique := cliqueFormula(b, 10, "v")
+		f := b.Implies(b.And(clique, b.Lt(b.Sym("v0"), b.Sym("v1"))), b.Lt(b.Sym("v0"), b.Sym("v1")))
+		return f, b
+	}
+	opts := Options{SepThreshold: 1 << 30, MaxTransClauses: 10}
+	f, b := build()
+	s, err := OpenSession(context.Background(), f, b, opts)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	defer s.Close()
+	res := s.Decide(context.Background())
+	if res.Status != Valid || res.Stats.DemotedClasses != 1 || res.Stats.SDClasses != 1 {
+		t.Fatalf("got %v with %d demoted / %d SD classes, want Valid with 1 / 1",
+			res.Status, res.Stats.DemotedClasses, res.Stats.SDClasses)
+	}
+
+	f, b = build()
+	opts.NoDegrade = true
+	if _, err := OpenSession(context.Background(), f, b, opts); StatusOf(err) != ResourceOut {
+		t.Fatalf("NoDegrade: got %v, want a ResourceOut error", err)
+	}
+}

@@ -64,9 +64,8 @@ var (
 	ErrCanceled = errors.New("core: run canceled")
 	// ErrDeadline reports that the wall-clock deadline was hit.
 	ErrDeadline = errors.New("core: deadline exceeded")
-	// ErrTransBudget reports that MaxTransClauses was exhausted (and, for the
-	// Hybrid method, that per-class SD degradation was disabled or already
-	// applied).
+	// ErrTransBudget reports that MaxTransClauses was exhausted (for the
+	// Hybrid method, only possible with per-class SD degradation disabled).
 	ErrTransBudget = errors.New("core: transitivity-clause budget exhausted")
 	// ErrClauseBudget reports that MaxCNFClauses was exceeded.
 	ErrClauseBudget = errors.New("core: CNF clause budget exhausted")
@@ -94,7 +93,7 @@ func StatusOf(err error) Status {
 	case errors.Is(err, context.Canceled) || errors.Is(err, ErrCanceled):
 		return Canceled
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDeadline) ||
-		errors.Is(err, perconstraint.ErrDeadline) || errors.Is(err, sat.ErrBudget):
+		errors.Is(err, sat.ErrBudget):
 		return Timeout
 	case errors.Is(err, perconstraint.ErrTranslationLimit) || errors.Is(err, ErrTransBudget) ||
 		errors.Is(err, ErrClauseBudget) || errors.Is(err, ErrConflictBudget) ||
@@ -120,10 +119,10 @@ func SATStopError(c sat.StopCause) error {
 }
 
 // Pipeline stage names, in execution order. DecideCtx calls Options.Hook at
-// entry to each stage (StageDump only when DumpCNF is set; StageEncode and
-// StageTrans once per degradation attempt), then polls the context, so a hook
-// that cancels the context aborts the run at that exact point. The
-// fault-injection harness (internal/faultinject) targets these names.
+// entry to each stage (StageDump only when DumpCNF is set), then polls the
+// context, so a hook that cancels the context aborts the run at that exact
+// point. The fault-injection harness (internal/faultinject) targets these
+// names.
 const (
 	StageFuncElim = "funcelim"
 	StageAnalyze  = "analyze"

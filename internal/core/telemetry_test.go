@@ -54,6 +54,13 @@ func TestHybridSpanOrder(t *testing.T) {
 	if v := spans[5].Attrs["verdict"]; v != "UNSAT" {
 		t.Errorf("sat span verdict = %v, want UNSAT (valid ⟺ ¬F unsat)", v)
 	}
+	// The routing probe's count is exact: it predicts the trans span's size.
+	if _, ok := spans[2].Attrs["probe_ms"]; !ok {
+		t.Error("encode span missing probe_ms")
+	}
+	if p, g := spans[2].Attrs["probe_trans_clauses"], spans[3].Attrs["trans_clauses"]; p == nil || p != g {
+		t.Errorf("encode span probe_trans_clauses = %v, trans span trans_clauses = %v; want equal", p, g)
+	}
 
 	// The same recorder renders a loadable Chrome trace with those spans.
 	var buf bytes.Buffer

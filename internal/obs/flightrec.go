@@ -268,14 +268,18 @@ type FlightDump struct {
 	Events      []FlightEvent `json:"events"`
 }
 
-// Dump builds the dump structure.
+// Dump builds the dump structure. The events are copied before the
+// counters are read: a ticket is drawn before its slot is published, so
+// counters read afterwards cover every event in the copy (Recorded ≥ each
+// Seq), while the reverse order would miss events published in between.
 func (f *FlightRecorder) Dump() *FlightDump {
+	events := f.Events()
 	return &FlightDump{
 		DumpedAtNS:  time.Now().UnixNano(),
 		Cap:         f.Cap(),
 		Recorded:    f.Recorded(),
 		Overwritten: f.Overwritten(),
-		Events:      f.Events(),
+		Events:      events,
 	}
 }
 

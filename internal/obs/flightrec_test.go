@@ -145,6 +145,41 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestFlightDumpCountsCoverEvents dumps while several goroutines record:
+// every dump's counters must account for every event it carries, so
+// Recorded is never below the number of events nor below their largest Seq.
+func TestFlightDumpCountsCoverEvents(t *testing.T) {
+	fr := NewFlightRecorder(64)
+	const writers = 4
+	const perWriter = 20000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				fr.Record(FlightSpan, "w", "sat", 1, 1)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for dumps := 0; ; dumps++ {
+		d := fr.Dump()
+		if d.Recorded < int64(len(d.Events)) {
+			t.Fatalf("dump %d: recorded=%d < %d events", dumps, d.Recorded, len(d.Events))
+		}
+		if n := len(d.Events); n > 0 && d.Recorded < int64(d.Events[n-1].Seq) {
+			t.Fatalf("dump %d: recorded=%d < max seq %d", dumps, d.Recorded, d.Events[n-1].Seq)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}
+
 // TestFlightDumpJSON round-trips a dump through its JSON schema.
 func TestFlightDumpJSON(t *testing.T) {
 	fr := NewFlightRecorder(16)

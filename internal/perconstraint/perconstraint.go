@@ -19,7 +19,8 @@
 // exponential growth of F_trans is the EIJ weakness the paper's hybrid
 // method works around; Encoder supports a constraint cap so harnesses can
 // observe the blow-up as a translation timeout, like the paper's 1-hour
-// limit.
+// limit, and CountTrans measures it ahead of time — the same elimination in
+// count-only mode — so a router can avoid it.
 package perconstraint
 
 import (
@@ -28,8 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"sufsat/internal/boolexpr"
 	"sufsat/internal/difflogic"
@@ -42,15 +41,9 @@ import (
 // exceeded the configured cap (the EIJ blow-up).
 var ErrTranslationLimit = errors.New("perconstraint: transitivity constraint limit exceeded")
 
-// ErrDeadline reports that transitivity-constraint generation ran past the
-// configured deadline — the paper's "fails to go beyond the formula
-// translation stage".
-var ErrDeadline = errors.New("perconstraint: translation deadline exceeded")
-
 // BudgetError reports which class's transitivity generation exhausted the
-// MaxTrans cap, so a hybrid caller can degrade that class to the SD encoder
-// and retry instead of failing the whole call. It unwraps to
-// ErrTranslationLimit.
+// MaxTrans cap. CountTrans predicts it exactly: a caller that probes first
+// (hybrid routing) never sees it. It unwraps to ErrTranslationLimit.
 type BudgetError struct {
 	// Class is the symbolic-constant class being eliminated when the shared
 	// budget ran out.
@@ -80,11 +73,6 @@ type Stats struct {
 	TransConstraints int
 }
 
-type predKey struct {
-	x, y string
-	c    int
-}
-
 // Encoder encodes separation atoms per-constraint. Atom encodings are
 // collected; TransConstraints must be called afterwards to obtain F_trans
 // for every predicate variable handed out.
@@ -95,42 +83,24 @@ type Encoder struct {
 	// MaxTrans caps the number of generated transitivity constraints
 	// (0 = unlimited).
 	MaxTrans int
-	// Deadline bounds the wall-clock time of transitivity generation
-	// (zero = none).
-	Deadline time.Time
-	// Interrupt, when non-nil and set, aborts transitivity generation with
-	// ErrDeadline at the next check point (legacy cancellation; prefer Ctx).
-	Interrupt *atomic.Bool
 	// Ctx, when non-nil, is polled during atom encoding and transitivity
-	// generation; once done, both abort with the context's error.
+	// generation; once done, both abort with the context's error. It is the
+	// encoder's only cancellation path.
 	Ctx context.Context
 	// Order selects the vertex-elimination heuristic (default MinDegree).
 	Order OrderHeuristic
 
 	walker    *enc.Walker
-	vars      map[predKey]*boolexpr.Node // canonical source predicate variables
-	order     []predKey                  // deterministic iteration order
-	derived   map[predKey]bool           // derived variables allocated so far
+	vars      map[sep.Pred]*boolexpr.Node // canonical source predicate variables
+	order     []sep.Pred                  // deterministic iteration order
+	derived   map[sep.Pred]bool           // derived variables allocated so far
 	stats     Stats
 	atomCalls int // EncodeAtom invocations, gating context polls
 }
 
-func sortEdges(es []*edge) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.x != b.x {
-			return a.x < b.x
-		}
-		if a.y != b.y {
-			return a.y < b.y
-		}
-		return a.c < b.c
-	})
-}
-
 // NewEncoder builds a per-constraint encoder for the analyzed formula info.
 func NewEncoder(info *sep.Info, sb *suf.Builder, bb *boolexpr.Builder) *Encoder {
-	e := &Encoder{bb: bb, sb: sb, info: info, vars: make(map[predKey]*boolexpr.Node)}
+	e := &Encoder{bb: bb, sb: sb, info: info, vars: make(map[sep.Pred]*boolexpr.Node)}
 	e.walker = enc.NewWalker(bb, e.EncodeAtom)
 	return e
 }
@@ -156,7 +126,7 @@ func (e *Encoder) Lit(x, y string, c int) *boolexpr.Node {
 		// x−y ≤ c  ⟺  ¬(y−x ≤ −c−1)
 		return e.bb.Not(e.Lit(y, x, -c-1))
 	}
-	k := predKey{x, y, c}
+	k := sep.Pred{X: x, Y: y, C: c}
 	if v, ok := e.vars[k]; ok {
 		return v
 	}
@@ -180,7 +150,7 @@ type PredVar struct {
 func (e *Encoder) Predicates() []PredVar {
 	out := make([]PredVar, len(e.order))
 	for i, k := range e.order {
-		out[i] = PredVar{X: k.x, Y: k.y, C: k.c, Var: e.vars[k]}
+		out[i] = PredVar{X: k.X, Y: k.Y, C: k.C, Var: e.vars[k]}
 	}
 	return out
 }
@@ -308,13 +278,6 @@ func (o OrderHeuristic) String() string {
 	return "unknown"
 }
 
-// edge is a labelled difference edge x − y ≤ c under literal lit.
-type edge struct {
-	x, y string
-	c    int
-	lit  TransLit
-}
-
 // TransConstraints generates F_trans as a single Boolean formula. Prefer
 // TransClauseList plus direct clause assertion for large encodings.
 func (e *Encoder) TransConstraints() (*boolexpr.Node, error) {
@@ -338,10 +301,10 @@ func (e *Encoder) TransConstraints() (*boolexpr.Node, error) {
 // elimination, in clausal form.
 func (e *Encoder) TransClauseList() ([]TransClause, error) {
 	// Group canonical predicates by class.
-	byClass := make(map[*sep.Class][]predKey)
+	byClass := make(map[*sep.Class][]sep.Pred)
 	for _, k := range e.order {
-		cl := e.info.ClassOf[k.x]
-		if cl == nil || e.info.ClassOf[k.y] != cl {
+		cl := e.info.ClassOf[k.X]
+		if cl == nil || e.info.ClassOf[k.Y] != cl {
 			return nil, fmt.Errorf("perconstraint: predicate %v crosses classes", k)
 		}
 		byClass[cl] = append(byClass[cl], k)
@@ -355,246 +318,81 @@ func (e *Encoder) TransClauseList() ([]TransClause, error) {
 	var out []TransClause
 	budget := e.MaxTrans
 	for _, cl := range classes {
-		cs, err := e.transForClass(cl, byClass[cl], &budget)
+		limit := -1
+		if e.MaxTrans > 0 {
+			limit = budget
+		}
+		cs, err := e.transForClass(cl, byClass[cl], limit)
 		if err != nil {
 			return nil, err
 		}
+		budget -= len(cs)
 		out = append(out, cs...)
 	}
 	return out, nil
 }
 
-func (e *Encoder) transForClass(cl *sep.Class, preds []predKey, budget *int) ([]TransClause, error) {
-	bb := e.bb
-	// Weight bound for derived edges: every edge of a *simple* negative
-	// cycle is a contiguous subpath of it, and with n vertices and initial
-	// weights in [−W, W] a subpath of a simple negative cycle has weight in
-	// (−2nW, nW). Vertex elimination composes exactly contiguous subpaths,
-	// so derived edges outside that window can never witness a negative
-	// cycle and are dropped. This keeps the (still potentially exponential)
-	// growth tied to genuine weight diversity.
-	verts := make(map[string]bool)
-	maxW := 1
-	maxPos := 0
-	for _, k := range preds {
-		verts[k.x] = true
-		verts[k.y] = true
-		for _, w := range [2]int{k.c, -k.c - 1} {
-			if abs(w) > maxW {
-				maxW = abs(w)
-			}
-			if w > maxPos {
-				maxPos = w
-			}
-		}
+// transForClass builds the clauses of class cl's vertex elimination
+// (elimGraph.eliminate) over its predicates preds, failing with a
+// *BudgetError once their number exceeds budget (a negative budget means no
+// limit).
+func (e *Encoder) transForClass(cl *sep.Class, preds []sep.Pred, budget int) ([]TransClause, error) {
+	g, names := newElimGraph(preds, e.Order)
+	// lits[i] is the literal of edge i: the source variable (possibly
+	// negated) when the edge is a source predicate, else a derived one,
+	// allocated as the clause that creates the edge is generated.
+	lits := make([]TransLit, len(g.edges))
+	for i, k := range g.edges {
+		lits[i] = e.litFor(names, k)
 	}
-	hiBound := len(verts) * maxW
-	// Weight floor: in a simple cycle the other edges contribute at most
-	// n·maxPos, so once a subpath's weight reaches F = −n·maxPos − 1 the
-	// completed cycle is negative no matter what — all weights below F are
-	// equivalent and are clamped to it. For equality/strict-order classes
-	// (no positive weights) this collapses the per-pair weights to {0, −1},
-	// which is why the per-constraint method is cheap exactly on the
-	// formulas the paper observes it winning on.
-	floor := -len(verts)*maxPos - 1
-
-	// Labelled edges keyed by (x, y, c); both polarities of each source
-	// predicate are present from the start.
-	edges := make(map[predKey]*edge)
-	adj := make(map[string]map[predKey]bool) // vertex → incident edge keys
-	addEdge := func(x, y string, c int, lit TransLit) *edge {
-		k := predKey{x, y, c}
-		if ed, ok := edges[k]; ok {
-			return ed
-		}
-		ed := &edge{x, y, c, lit}
-		edges[k] = ed
-		for _, v := range [2]string{x, y} {
-			if adj[v] == nil {
-				adj[v] = make(map[predKey]bool)
-			}
-			adj[v][k] = true
-		}
-		return ed
-	}
-	for _, k := range preds {
-		v := e.vars[k]
-		addEdge(k.x, k.y, k.c, TransLit{v, false})
-		addEdge(k.y, k.x, -k.c-1, TransLit{v, true})
-	}
-
-	// litFor returns the consequent literal for a derived constraint
-	// x − y ≤ c, reusing source variables (possibly negated) when they match
-	// exactly, and fresh derived variables otherwise.
-	litFor := func(x, y string, c int) TransLit {
-		cx, cy, cc := x, y, c
-		neg := false
-		if cx > cy {
-			cx, cy, cc = y, x, -c-1
-			neg = true
-		}
-		if v, ok := e.vars[predKey{cx, cy, cc}]; ok {
-			return TransLit{v, neg}
-		}
-		v := bb.Var("eijD!" + cx + "!" + cy + "!" + strconv.Itoa(cc))
-		if _, seen := e.derivedSeen(cx, cy, cc); !seen {
-			e.stats.DerivedVars++
-		}
-		return TransLit{v, neg}
-	}
-
 	var constraints []TransClause
-	nCons := 0
-	emit := func(tc TransClause) error {
+	n, over, err := g.eliminate(e.Ctx, budget, func(e1, e2, e3 int32) {
+		l1, l2 := lits[e1], lits[e2]
+		tc := make(TransClause, 1, 3)
+		tc[0] = l1.Not()
+		if l1 != l2 {
+			tc = append(tc, l2.Not())
+		}
+		if e3 >= 0 {
+			if int(e3) == len(lits) {
+				lits = append(lits, e.litFor(names, g.edges[e3]))
+			}
+			tc = append(tc, lits[e3])
+		}
 		constraints = append(constraints, tc)
-		nCons++
-		e.stats.TransConstraints++
-		if e.MaxTrans > 0 {
-			*budget--
-			if *budget < 0 {
-				return &BudgetError{Class: cl, Limit: e.MaxTrans}
-			}
-		}
-		if nCons%256 == 0 {
-			if e.Ctx != nil {
-				if err := e.Ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if !e.Deadline.IsZero() && time.Now().After(e.Deadline) {
-				return ErrDeadline
-			}
-			if e.Interrupt != nil && e.Interrupt.Load() {
-				return ErrDeadline
-			}
-		}
-		return nil
+	})
+	e.stats.TransConstraints += n
+	if err != nil {
+		return nil, err
 	}
-
-	// Vertex elimination in the configured order.
-	for len(adj) > 0 {
-		var names []string
-		for name := range adj {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		v := names[0]
-		switch e.Order {
-		case Lexicographic:
-			// v is already the lexicographically smallest.
-		case MinFill:
-			best := -1
-			for _, name := range names {
-				in, out := 0, 0
-				for k := range adj[name] {
-					ed := edges[k]
-					if ed.y == name {
-						in++
-					}
-					if ed.x == name {
-						out++
-					}
-				}
-				fill := in * out
-				if best == -1 || fill < best {
-					best = fill
-					v = name
-				}
-			}
-		default: // MinDegree
-			best := -1
-			for _, name := range names {
-				d := len(adj[name])
-				if best == -1 || d < best {
-					best = d
-					v = name
-				}
-			}
-		}
-
-		// Partition incident edges.
-		var in, out []*edge // in: (x→v), out: (v→y)
-		for k := range adj[v] {
-			ed := edges[k]
-			if ed.y == v && ed.x != v {
-				in = append(in, ed)
-			}
-			if ed.x == v && ed.y != v {
-				out = append(out, ed)
-			}
-		}
-		sortEdges(in)
-		sortEdges(out)
-		// Remove v and its edges before adding compositions.
-		for k := range adj[v] {
-			ed := edges[k]
-			delete(edges, k)
-			other := ed.x
-			if other == v {
-				other = ed.y
-			}
-			if adj[other] != nil {
-				delete(adj[other], k)
-			}
-		}
-		delete(adj, v)
-
-		for _, e1 := range in { // e1: x − v ≤ c1
-			for _, e2 := range out { // e2: v − y ≤ c2
-				x, y := e1.x, e2.y
-				c := e1.c + e2.c
-				if c < floor {
-					c = floor
-				}
-				if e1.lit.Var == e2.lit.Var && e1.lit.Neg != e2.lit.Neg {
-					continue // composing a literal with its own negation
-				}
-				ant := TransClause{e1.lit.Not()}
-				if e1.lit != e2.lit {
-					ant = append(ant, e2.lit.Not())
-				}
-				if x == y {
-					if c < 0 {
-						// Negative self-loop: the antecedent is contradictory.
-						if err := emit(ant); err != nil {
-							return nil, err
-						}
-					}
-					continue
-				}
-				if c > hiBound {
-					continue // cannot be part of a simple negative cycle
-				}
-				k := predKey{x, y, c}
-				if ed, ok := edges[k]; ok {
-					// Edge already present: just link the new derivation.
-					if err := emit(append(ant[:len(ant):len(ant)], ed.lit)); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				l3 := litFor(x, y, c)
-				addEdge(x, y, c, l3)
-				if err := emit(append(ant[:len(ant):len(ant)], l3)); err != nil {
-					return nil, err
-				}
-			}
-		}
+	if over {
+		return nil, &BudgetError{Class: cl, Limit: e.MaxTrans}
 	}
 	return constraints, nil
 }
 
-// derivedSeen tracks distinct derived variables for stats.
-func (e *Encoder) derivedSeen(x, y string, c int) (struct{}, bool) {
+// litFor returns the literal of the difference edge k, reusing source
+// variables (possibly negated) when they match exactly, and fresh derived
+// variables otherwise.
+func (e *Encoder) litFor(names []string, k edgeKey) TransLit {
+	x, y, c := names[k.x], names[k.y], k.c
+	neg := false
+	if x > y {
+		x, y, c = y, x, -c-1
+		neg = true
+	}
+	p := sep.Pred{X: x, Y: y, C: c}
+	if v, ok := e.vars[p]; ok {
+		return TransLit{v, neg}
+	}
 	if e.derived == nil {
-		e.derived = make(map[predKey]bool)
+		e.derived = make(map[sep.Pred]bool)
 	}
-	k := predKey{x, y, c}
-	if e.derived[k] {
-		return struct{}{}, true
+	if !e.derived[p] {
+		e.derived[p] = true
+		e.stats.DerivedVars++
 	}
-	e.derived[k] = true
-	return struct{}{}, false
+	return TransLit{e.bb.Var("eijD!" + x + "!" + y + "!" + strconv.Itoa(c)), neg}
 }
 
 // Result is a standalone EIJ encoding. The encoded formula is
@@ -643,9 +441,9 @@ func (e *Encoder) ModelConstraints(val func(n *boolexpr.Node) (value, known bool
 			continue
 		}
 		if v {
-			out = append(out, difflogic.Constraint{X: k.x, Y: k.y, C: int64(k.c)})
+			out = append(out, difflogic.Constraint{X: k.X, Y: k.Y, C: int64(k.C)})
 		} else {
-			out = append(out, difflogic.Constraint{X: k.y, Y: k.x, C: int64(-k.c - 1)})
+			out = append(out, difflogic.Constraint{X: k.Y, Y: k.X, C: int64(-k.C - 1)})
 		}
 	}
 	return out

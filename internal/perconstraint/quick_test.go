@@ -1,6 +1,7 @@
 package perconstraint
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -115,6 +116,96 @@ func TestQuickTransitivityCharacterizesFeasibility(t *testing.T) {
 		return extends == feasible
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickCountTransIsExact: the count-only probe is exact. Over random
+// difference-constraint sets (several classes, both equalities and
+// inequalities), every order heuristic and several budgets, probing the
+// classes in ID order against the shared budget still left predicts the
+// generator: generation returns a *BudgetError naming the first class the
+// probe reports over budget, and otherwise exactly as many clauses as the
+// probe counted.
+func TestQuickCountTransIsExact(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := suf.NewBuilder()
+		g := b.True()
+		nVars := 3 + rng.Intn(6)
+		for i := 0; i < 2+rng.Intn(14); i++ {
+			x := b.Sym(fmt.Sprintf("v%d", rng.Intn(nVars)))
+			y := b.Offset(b.Sym(fmt.Sprintf("v%d", rng.Intn(nVars))), rng.Intn(9)-4)
+			a := b.Le(x, y)
+			if rng.Intn(3) == 0 {
+				a = b.Eq(x, y)
+			}
+			// The Boolean guard leaves the predicates unconstrained.
+			g = b.And(g, b.Or(b.BoolSym(fmt.Sprintf("s%d", i)), a))
+		}
+		info, err := sep.Analyze(g, b, nil)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		generate := func(ord OrderHeuristic, maxTrans int) ([]TransClause, error) {
+			e := NewEncoder(info, b, boolexpr.NewBuilder())
+			e.Order = ord
+			e.MaxTrans = maxTrans
+			if _, err := e.Walker().Encode(info.Formula); err != nil {
+				return nil, err
+			}
+			return e.TransClauseList()
+		}
+		for _, ord := range []OrderHeuristic{MinDegree, MinFill, Lexicographic} {
+			all, err := generate(ord, 0)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			total := len(all)
+			for _, maxTrans := range []int{0, 1, total / 3, total - 1, total, total + 1} {
+				if maxTrans < 0 {
+					continue
+				}
+				left := maxTrans
+				if maxTrans == 0 {
+					left = -1 // no limit
+				}
+				var overClass *sep.Class
+				predicted := 0
+				for _, cl := range info.Classes {
+					n, over, err := CountTrans(nil, cl.Preds, ord, left)
+					if err != nil {
+						t.Log(err)
+						return false
+					}
+					if over {
+						overClass = cl
+						break
+					}
+					predicted += n
+					if left >= 0 {
+						left -= n
+					}
+				}
+				clauses, err := generate(ord, maxTrans)
+				var be *BudgetError
+				switch {
+				case overClass != nil && (!errors.As(err, &be) || be.Class != overClass):
+					t.Logf("%v, MaxTrans %d: probe says class %d is over budget, generation returned %v",
+						ord, maxTrans, overClass.ID, err)
+					return false
+				case overClass == nil && (err != nil || len(clauses) != predicted):
+					t.Logf("%v, MaxTrans %d: probe counted %d clauses, generation returned %d (%v)",
+						ord, maxTrans, predicted, len(clauses), err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -34,6 +34,15 @@ func (g Ground) String() string {
 	}
 }
 
+// Pred is a canonical separation predicate X − Y ≤ C between two distinct
+// general constants of one class, oriented X < Y by name; the opposite
+// orientation is its negation, Y − X ≤ −C−1, so both share one Boolean
+// variable in the per-constraint encoding.
+type Pred struct {
+	X, Y string
+	C    int
+}
+
 // Class is an equivalence class of general (V_g) symbolic constants that are
 // transitively compared to each other.
 type Class struct {
@@ -48,6 +57,9 @@ type Class struct {
 	// predicates between two constants of this class (the number of
 	// per-constraint Boolean variables the class would need).
 	SepCnt int
+	// Preds are those predicates, sorted by (X, Y, C): the exact predicate
+	// set the per-constraint encoder allocates for the class (len = SepCnt).
+	Preds []Pred
 }
 
 // Info is the result of analyzing a separation logic formula.
@@ -415,11 +427,12 @@ func Analyze(f *suf.BoolExpr, b *suf.Builder, pconsts map[string]bool) (*Info, e
 		}
 	}
 
-	// SepCnt: count distinct canonical separation predicates x − y ≤ c whose
-	// two constants are general and in the same class. An equality T1 = T2
-	// contributes both x − y ≤ c and y − x ≤ −c; an inequality contributes
-	// one predicate variable (its negation reuses the same variable).
-	sepKeys := make(map[string]map[[2]string]map[int]bool) // class root → pair → weights
+	// SepCnt: collect the distinct canonical separation predicates x − y ≤ c
+	// whose two constants are general and in the same class. An equality
+	// T1 = T2 contributes both x − y ≤ c and y − x ≤ −c; an inequality
+	// contributes one predicate variable (its negation reuses the same
+	// variable).
+	preds := make(map[*Class]map[Pred]bool)
 	add := func(x, y string, c int) {
 		cx := info.ClassOf[x]
 		if cx == nil || info.ClassOf[y] != cx {
@@ -430,15 +443,10 @@ func Analyze(f *suf.BoolExpr, b *suf.Builder, pconsts map[string]bool) (*Info, e
 			// negation x−y≤c ⟺ ¬(y−x ≤ −c−1).
 			x, y, c = y, x, -c-1
 		}
-		root := cx.Consts[0]
-		if sepKeys[root] == nil {
-			sepKeys[root] = make(map[[2]string]map[int]bool)
+		if preds[cx] == nil {
+			preds[cx] = make(map[Pred]bool)
 		}
-		pair := [2]string{x, y}
-		if sepKeys[root][pair] == nil {
-			sepKeys[root][pair] = make(map[int]bool)
-		}
-		sepKeys[root][pair][c] = true
+		preds[cx][Pred{x, y, c}] = true
 	}
 	for _, a := range atoms {
 		eq := a.eq
@@ -459,13 +467,22 @@ func Analyze(f *suf.BoolExpr, b *suf.Builder, pconsts map[string]bool) (*Info, e
 		}
 	}
 	for _, c := range info.Classes {
-		root := c.Consts[0]
-		n := 0
-		for _, ws := range sepKeys[root] {
-			n += len(ws)
+		c.Preds = make([]Pred, 0, len(preds[c]))
+		for p := range preds[c] {
+			c.Preds = append(c.Preds, p)
 		}
-		c.SepCnt = n
-		info.NumSepPreds += n
+		sort.Slice(c.Preds, func(i, j int) bool {
+			a, b := c.Preds[i], c.Preds[j]
+			if a.X != b.X {
+				return a.X < b.X
+			}
+			if a.Y != b.Y {
+				return a.Y < b.Y
+			}
+			return a.C < b.C
+		})
+		c.SepCnt = len(c.Preds)
+		info.NumSepPreds += c.SepCnt
 	}
 	return info, nil
 }

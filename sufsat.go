@@ -369,10 +369,13 @@ type Options struct {
 	// MaxTrans caps eager transitivity-constraint generation (0 = none).
 	// Deprecated: alias for MaxTransClauses, which wins when both are set.
 	MaxTrans int
-	// MaxTransClauses caps eager transitivity-constraint generation
-	// (0 = none). Under the hybrid method the cap degrades gracefully: a class
-	// whose generation exhausts it is re-routed to the SD encoder and the
-	// encoding retried (see NoDegrade); pure EIJ reports ResourceOut.
+	// MaxTransClauses caps eager transitivity-constraint generation. Under
+	// the hybrid method with degradation on (NoDegrade unset), routing counts
+	// each class's transitivity clauses exactly before encoding and sends a
+	// class that does not fit what is left of the cap to the SD encoder;
+	// there 0 means the default budget (core.DefaultTransBudget). Otherwise
+	// 0 means none, and exhausting the cap reports ResourceOut (pure EIJ, or
+	// hybrid with NoDegrade).
 	MaxTransClauses int
 	// MaxCNFClauses caps the problem clauses handed to the SAT solver
 	// (0 = none); exceeding it reports ResourceOut with ErrClauseBudget.
@@ -392,8 +395,9 @@ type Options struct {
 	// deterministic (which worker wins depends on scheduling), though the
 	// verdict never varies.
 	SolverWorkers int
-	// NoDegrade disables the hybrid per-class EIJ→SD fallback on
-	// transitivity-budget exhaustion, so the budget aborts the call instead.
+	// NoDegrade disables the hybrid per-class EIJ→SD demotion: classes route
+	// on SEP_THOLD alone, as in the paper, and an exhausted MaxTransClauses
+	// aborts the call instead.
 	NoDegrade bool
 	// Ackermann selects Ackermann's function elimination instead of the
 	// nested-ITE scheme (the positive-equality ablation); eager methods only.
@@ -451,9 +455,9 @@ type Stats struct {
 	// Classes is the number of symbolic-constant equivalence classes;
 	// SDClasses of them were encoded with the small-domain method.
 	Classes, SDClasses int
-	// DemotedClasses counts classes re-routed from EIJ to SD because their
-	// transitivity generation exhausted MaxTransClauses (included in
-	// SDClasses).
+	// DemotedClasses counts classes hybrid routing moved from EIJ to SD
+	// because their transitivity-clause count did not fit the budget
+	// (included in SDClasses).
 	DemotedClasses int
 	// PFuncFraction is the fraction of function applications classified as
 	// p-function applications.
