@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race route-gate bench bench-smoke trace-smoke serve-smoke metrics-smoke soak router-smoke chaos-soak chaos-bench cache-gate fleet-trace-smoke affinity-bench membership-soak membership-bench slo-smoke slo-bench
+.PHONY: ci vet build test race route-gate fuzz-smoke bench bench-smoke trace-smoke serve-smoke metrics-smoke soak router-smoke chaos-soak chaos-bench cache-gate fleet-trace-smoke affinity-bench membership-soak membership-bench slo-smoke slo-bench
 
 # ci is the full verification gate: static analysis, build, the whole test
 # suite, a race-detector pass over the concurrency-bearing packages (the
@@ -27,8 +27,9 @@ GO ?= go
 # burns, assert the state transition in /metrics + the flight recorder and
 # exactly one rate-limited profile capture validated by tracecheck -profiles),
 # and the route gate (default Hybrid decides every suite formula and invalid
-# variant within a 3 s deadline, with the known verdict).
-ci: vet build test race route-gate bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
+# variant within a 3 s deadline, with the known verdict), and the fuzz smoke
+# (a short fixed-time run of the CNF encoder's fuzz target).
+ci: vet build test race route-gate fuzz-smoke bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +45,12 @@ test:
 # models.
 route-gate:
 	$(GO) test -count=1 -run '^TestHybridDecidesSuite$$' .
+
+# fuzz-smoke: fuzz the CNF encoder for a short fixed time. Every fuzzed DAG
+# must encode to a CNF that agrees with enumeration on satisfiability and on
+# every assignment of its variables.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzAssertTrue$$' -fuzztime 10s ./internal/boolexpr
 
 race:
 	$(GO) test -race -short ./internal/core ./internal/sat ./internal/obs \

@@ -1,5 +1,6 @@
 // Package boolexpr provides a hash-consed Boolean expression DAG and its
-// Tseitin transformation to CNF for the sat package.
+// polarity-aware (Plaisted–Greenbaum) n-ary Tseitin transformation to CNF
+// for the sat package.
 //
 // Every encoder in this module (small-domain, per-constraint, hybrid)
 // produces a boolexpr DAG; node counts of these DAGs are the "size of the
@@ -334,92 +335,239 @@ func (n *Node) String() string {
 	return sb.String()
 }
 
-// CNF is the result of a Tseitin transformation: the literal equivalent to
-// the root formula and the mapping of source variables to solver literals.
+// CNF is the clausal form of an asserted formula: the solver literal of
+// every source variable.
 type CNF struct {
-	Top     sat.Lit
 	VarLits map[string]sat.Lit
 }
 
-// ToCNF applies the Tseitin transformation of n into solver s and returns
-// the defining literal of n. It does not assert the top literal; use
-// AssertTrue for that. Constant nodes are handled by a dedicated always-true
-// variable.
-func ToCNF(n *Node, s *sat.Solver) CNF {
-	c := CNF{VarLits: make(map[string]sat.Lit)}
-	lits := make(map[*Node]sat.Lit)
-	var constTrue sat.Lit = sat.LitUndef
-	getConstTrue := func() sat.Lit {
-		if constTrue == sat.LitUndef {
-			v := s.NewVar()
-			constTrue = sat.PosLit(v)
-			s.AddClause(constTrue)
-		}
-		return constTrue
-	}
+// Per-node flags of the encoder.
+const (
+	fLit    uint8 = 1 << iota // lit is allocated
+	fPos                      // the gate occurs positively
+	fNeg                      // the gate occurs negatively
+	fInline                   // flattened into its parent; no variable
+)
 
-	// Iterative post-order over the DAG.
-	type frame struct {
-		n        *Node
-		expanded bool
-	}
-	stack := []frame{{n, false}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		m := f.n
-		if _, done := lits[m]; done {
-			continue
-		}
-		if !f.expanded {
-			stack = append(stack, frame{m, true})
-			if m.a != nil {
-				stack = append(stack, frame{m.a, false})
-			}
-			if m.b != nil {
-				stack = append(stack, frame{m.b, false})
-			}
-			continue
-		}
-		var l sat.Lit
-		switch m.kind {
-		case KTrue:
-			l = getConstTrue()
-		case KFalse:
-			l = getConstTrue().Not()
-		case KVar:
-			if vl, ok := c.VarLits[m.name]; ok {
-				l = vl
-			} else {
-				l = sat.PosLit(s.NewVar())
-				c.VarLits[m.name] = l
-			}
-		case KNot:
-			l = lits[m.a].Not()
-		case KAnd:
-			la, lb := lits[m.a], lits[m.b]
-			x := sat.PosLit(s.NewVar())
-			s.AddClause(x.Not(), la)
-			s.AddClause(x.Not(), lb)
-			s.AddClause(x, la.Not(), lb.Not())
-			l = x
-		case KOr:
-			la, lb := lits[m.a], lits[m.b]
-			x := sat.PosLit(s.NewVar())
-			s.AddClause(x.Not(), la, lb)
-			s.AddClause(x, la.Not())
-			s.AddClause(x, lb.Not())
-			l = x
-		}
-		lits[m] = l
-	}
-	c.Top = lits[n]
-	return c
+// encNode is the encoder's state for one node, indexed by node id.
+type encNode struct {
+	n     *Node
+	refs  int32 // parents in the reachable DAG
+	lit   sat.Lit
+	flags uint8
 }
 
-// AssertTrue converts n to CNF in s and asserts that it holds.
+// term is an n-ary gate input: node n under a sign. n is a variable or a gate
+// (And/Or) that gets its own variable, never a Not.
+type term struct {
+	n   *Node
+	neg bool
+	// single reports that this is n's only occurrence in the DAG.
+	single bool
+}
+
+// frame is a pending child ch of an And/Or node of kind pk during collect;
+// neg is the sign the parent is read under.
+type frame struct {
+	ch  *Node
+	neg bool
+	pk  Kind
+}
+
+type encoder struct {
+	s     *sat.Solver
+	cnf   CNF
+	nodes []encNode
+	stack []frame
+	buf   []sat.Lit
+}
+
+// AssertTrue adds to s clauses that are satisfiable exactly when n is, and
+// returns the literals of n's variables. The encoding is Plaisted–Greenbaum
+// over n-ary gates:
+//
+//   - Chains of And (Or) nodes with a single parent, also through a Not with
+//     a single parent that turns Or into And and back, are flattened into one
+//     gate over all their inputs. A gate of k inputs costs one variable, k
+//     binary clauses for one polarity and one (k+1)-literal clause for the
+//     other.
+//   - Each gate gets only the clauses of the polarities it occurs in: a gate
+//     occurring only positively is implied by its literal but does not imply
+//     it.
+//   - The root's conjuncts are asserted as clauses of their own: a variable
+//     or a shared gate as a unit, a disjunction with a single parent as one
+//     clause over its flattened inputs.
+//
+// Soundness invariant: a gate literal is only implied in the direction the
+// formula needs, so callers may later constrain (with clauses or
+// assumptions) only VarLits literals, never gate variables. Under that
+// discipline every model restricted to VarLits satisfies n, and every
+// assignment of the variables that satisfies n and the extra constraints
+// extends to a model.
 func AssertTrue(n *Node, s *sat.Solver) CNF {
-	c := ToCNF(n, s)
-	s.AddClause(c.Top)
-	return c
+	e := &encoder{s: s, cnf: CNF{VarLits: make(map[string]sat.Lit)}}
+	switch n.kind {
+	case KTrue:
+		return e.cnf
+	case KFalse:
+		s.AddClause()
+		return e.cnf
+	}
+	e.count(n)
+	r, neg := n, false
+	if r.kind == KNot {
+		r, neg = r.a, true
+	}
+	if r.kind == KVar {
+		s.AddClause(e.lit(term{n: r, neg: neg}))
+		return e.cnf
+	}
+	// The root gate: a conjunction asserts each input, a disjunction is one
+	// clause.
+	e.nodes[r.id].flags |= fInline
+	roots := e.collect(r, neg, nil)
+	if (r.kind == KAnd) != neg {
+		for _, t := range roots {
+			if t.single && t.n.kind != KVar && (t.n.kind == KOr) != t.neg {
+				e.nodes[t.n.id].flags |= fInline
+				e.clause(e.collect(t.n, t.neg, nil))
+			} else {
+				s.AddClause(e.lit(t))
+				e.occurs(t, fPos)
+			}
+		}
+	} else {
+		e.clause(roots)
+	}
+	// Parents have larger ids than their children, so descending id order
+	// visits every gate after all its occurrences are known.
+	var ins []term
+	for id := r.id - 1; id > 0; id-- {
+		nd := &e.nodes[id]
+		if nd.n == nil || nd.flags&fInline != 0 || nd.flags&(fPos|fNeg) == 0 {
+			continue
+		}
+		ins = e.collect(nd.n, false, ins[:0])
+		e.gate(nd, ins)
+	}
+	return e.cnf
+}
+
+// count records every node reachable from n by id, with its parent count.
+func (e *encoder) count(n *Node) {
+	e.nodes = make([]encNode, n.id+1)
+	e.nodes[n.id].n = n
+	stack := []*Node{n}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range [2]*Node{m.a, m.b} {
+			if c == nil {
+				continue
+			}
+			nc := &e.nodes[c.id]
+			nc.refs++
+			if nc.n == nil {
+				nc.n = c
+				stack = append(stack, c)
+			}
+		}
+	}
+}
+
+// collect appends the inputs of the n-ary gate rooted at And/Or node g, read
+// under sign neg, to out: it descends into every child of the same effective
+// kind that has no other parent, marking it inlined.
+func (e *encoder) collect(g *Node, neg bool, out []term) []term {
+	st := append(e.stack[:0], frame{g.b, neg, g.kind}, frame{g.a, neg, g.kind})
+	for len(st) > 0 {
+		f := st[len(st)-1]
+		st = st[:len(st)-1]
+		c, via := f.ch, false
+		single := e.nodes[c.id].refs == 1
+		if c.kind == KNot {
+			c, via = c.a, true
+			single = single && e.nodes[c.id].refs == 1
+		}
+		t := term{n: c, neg: f.neg != via, single: single}
+		if single && (c.kind == KAnd || c.kind == KOr) && (c.kind == f.pk) != via {
+			e.nodes[c.id].flags |= fInline
+			st = append(st, frame{c.b, t.neg, c.kind}, frame{c.a, t.neg, c.kind})
+			continue
+		}
+		out = append(out, t)
+	}
+	e.stack = st
+	return out
+}
+
+// lit returns the literal of t, allocating the variable of t.n on first use.
+func (e *encoder) lit(t term) sat.Lit {
+	nd := &e.nodes[t.n.id]
+	if nd.flags&fLit == 0 {
+		nd.lit = sat.PosLit(e.s.NewVar())
+		nd.flags |= fLit
+		if t.n.kind == KVar {
+			e.cnf.VarLits[t.n.name] = nd.lit
+		}
+	}
+	if t.neg {
+		return nd.lit.Not()
+	}
+	return nd.lit
+}
+
+// occurs records that t occurs with polarity pol (fPos or fNeg).
+func (e *encoder) occurs(t term, pol uint8) {
+	if t.n.kind == KVar {
+		return
+	}
+	if t.neg && pol != fPos|fNeg {
+		pol ^= fPos | fNeg
+	}
+	e.nodes[t.n.id].flags |= pol
+}
+
+// clause asserts the disjunction of ts.
+func (e *encoder) clause(ts []term) {
+	e.buf = e.buf[:0]
+	for _, t := range ts {
+		e.buf = append(e.buf, e.lit(t))
+		e.occurs(t, fPos)
+	}
+	e.s.AddClause(e.buf...)
+}
+
+// gate emits the defining clauses of gate nd for the polarities it occurs
+// in, and passes those polarities on to its inputs l1..lk. With x the gate
+// literal:
+//
+//	And, positive: x → li, each (¬x ∨ li)
+//	And, negative: ∧li → x, one (x ∨ ¬l1 ∨ … ∨ ¬lk)
+//	Or, positive:  x → ∨li, one (¬x ∨ l1 ∨ … ∨ lk)
+//	Or, negative:  li → x, each (x ∨ ¬li)
+//
+// An Or gate is the And gate of ¬x over the ¬li, so one loop emits both.
+func (e *encoder) gate(nd *encNode, ins []term) {
+	pol := nd.flags & (fPos | fNeg)
+	or := nd.n.kind == KOr
+	y, short, long := nd.lit, fPos, fNeg
+	if or {
+		y, short, long = y.Not(), fNeg, fPos
+	}
+	e.buf = append(e.buf[:0], y)
+	for _, t := range ins {
+		m := e.lit(t)
+		e.occurs(t, pol)
+		if or {
+			m = m.Not()
+		}
+		if pol&short != 0 {
+			e.s.AddClause(y.Not(), m)
+		}
+		e.buf = append(e.buf, m.Not())
+	}
+	if pol&long != 0 {
+		e.s.AddClause(e.buf...)
+	}
 }

@@ -192,17 +192,15 @@ func TestXorIffSemantics(t *testing.T) {
 	}
 }
 
-func TestToCNFConstants(t *testing.T) {
+func TestAssertTrueConstants(t *testing.T) {
 	b := NewBuilder()
 	s := sat.New()
-	c := ToCNF(b.True(), s)
-	s.AddClause(c.Top)
+	AssertTrue(b.True(), s)
 	if s.Solve() != sat.Sat {
 		t.Fatal("true must be SAT")
 	}
 	s2 := sat.New()
-	c2 := ToCNF(b.False(), s2)
-	s2.AddClause(c2.Top)
+	AssertTrue(b.False(), s2)
 	if s2.Solve() != sat.Unsat {
 		t.Fatal("false must be UNSAT")
 	}

@@ -225,7 +225,9 @@ func Decide(f *suf.BoolExpr, b *suf.Builder, opts Options) *Result {
 
 // wrapLegacy derives the effective run context from the legacy Options
 // fields: Timeout becomes a context deadline and Interrupt a cancellation
-// poller. The returned cancel must be called to release the poller.
+// poller. A flag already set on entry cancels at once, so even a run that
+// finishes before the first poll returns Canceled. The returned cancel must
+// be called to release the poller.
 func wrapLegacy(ctx context.Context, opts *Options) (context.Context, context.CancelFunc) {
 	cancel := func() {}
 	if opts.Timeout > 0 {
@@ -234,6 +236,9 @@ func wrapLegacy(ctx context.Context, opts *Options) (context.Context, context.Ca
 	if opts.Interrupt != nil {
 		ictx, icancel := context.WithCancel(ctx)
 		interrupt := opts.Interrupt
+		if interrupt.Load() {
+			icancel()
+		}
 		go func() {
 			t := time.NewTicker(time.Millisecond)
 			defer t.Stop()
@@ -387,7 +392,6 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 	cnfSpan := rec.StartSpan("cnf")
 	solver := sat.New()
 	solver.Deadline = deadline
-	solver.Interrupt = opts.Interrupt
 	solver.Ctx = ctx
 	solver.ConflictBudget = opts.MaxConflicts
 	solver.Probes = rec.Probes()
@@ -484,15 +488,24 @@ func timedAtom(f func(*suf.BoolExpr) (*boolexpr.Node, error), acc *int64) func(*
 }
 
 // assertQuery loads F_trans ∧ ¬F_bvar into solver: ¬F_bvar through Tseitin,
-// the transitivity clauses directly in clausal form.
+// the transitivity clauses directly in clausal form. Those clauses mention
+// only predicate variables (VarLits), never Tseitin gates, as AssertTrue's
+// polarity encoding requires.
 func assertQuery(solver *sat.Solver, bb *boolexpr.Builder, bvar *boolexpr.Node, clauses []perconstraint.TransClause) boolexpr.CNF {
 	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver)
+	// byID caches each variable's literal (plus one; zero is unset) by node
+	// id, so the name lookup runs once per variable, not once per literal.
+	byID := make([]sat.Lit, bb.NumNodes())
 	varLit := func(n *boolexpr.Node) sat.Lit {
-		if l, ok := cnf.VarLits[n.Name()]; ok {
-			return l
+		if l := byID[n.ID()]; l != 0 {
+			return l - 1
 		}
-		l := sat.PosLit(solver.NewVar())
-		cnf.VarLits[n.Name()] = l
+		l, ok := cnf.VarLits[n.Name()]
+		if !ok {
+			l = sat.PosLit(solver.NewVar())
+			cnf.VarLits[n.Name()] = l
+		}
+		byID[n.ID()] = l + 1
 		return l
 	}
 	lits := make([]sat.Lit, 0, 3)

@@ -353,3 +353,17 @@ func TestLegacyInterruptStillCancels(t *testing.T) {
 		t.Fatalf("got %v (%v), want Canceled via legacy Interrupt", res.Status, res.Err)
 	}
 }
+
+// TestPresetInterruptCancelsTinyFormula: a flag already set on entry cancels
+// even a formula that finishes long before the shim's first poll.
+func TestPresetInterruptCancelsTinyFormula(t *testing.T) {
+	b := suf.NewBuilder()
+	x, y := b.Sym("x"), b.Sym("y")
+	f := b.Or(b.Eq(x, y), b.Not(b.Eq(x, y)))
+	var flag atomic.Bool
+	flag.Store(true)
+	res := Decide(f, b, Options{Interrupt: &flag})
+	if res.Status != Canceled {
+		t.Fatalf("got %v (%v), want Canceled for a pre-set Interrupt", res.Status, res.Err)
+	}
+}

@@ -216,7 +216,6 @@ func (s *Session) DecideAssuming(ctx context.Context, assume map[string]bool) *R
 	solver := s.solver
 	solver.Deadline = deadline
 	solver.Ctx = ctx
-	solver.Interrupt = opts.Interrupt
 	solver.ConflictBudget = opts.MaxConflicts
 
 	var satStatus sat.Status

@@ -108,7 +108,7 @@ func StatusOf(err error) Status {
 // Result.Err when Solve returns Unknown.
 func SATStopError(c sat.StopCause) error {
 	switch c {
-	case sat.StopCanceled, sat.StopInterrupt:
+	case sat.StopCanceled:
 		return ErrCanceled
 	case sat.StopDeadline:
 		return ErrDeadline

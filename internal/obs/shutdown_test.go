@@ -45,8 +45,14 @@ func TestSamplingDoubleStart(t *testing.T) {
 		stop1 := r.StartSampling()
 		stop2 := r.StartSampling() // no-op: already sampling
 		stop2()
-		time.Sleep(5 * time.Millisecond)
-		if len(r.Samples()) == 0 {
+		// Poll (bounded) rather than sleep a fixed time: on a loaded machine
+		// the first ticks can take well over one interval. A stopped
+		// collector takes exactly one final sample, so only a live one ever
+		// reaches two.
+		for deadline := time.Now().Add(2 * time.Second); len(r.Samples()) < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if len(r.Samples()) < 2 {
 			t.Error("no-op stop killed the live collector")
 		}
 		stop1()

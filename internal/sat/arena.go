@@ -84,10 +84,15 @@ func (ca *clauseArena) free(r ClauseRef) {
 	ca.wasted += ca.size(r) + hdrWords
 }
 
-// shouldGC reports whether enough of the arena is dead to justify compaction.
-func (ca *clauseArena) shouldGC() bool {
-	return ca.wasted > 4096 && ca.wasted*4 > len(ca.data)
+// gcWorthIt reports whether wasted dead words in an arena of size words
+// justify compaction. Package tests replace it to force collections on
+// small instances.
+var gcWorthIt = func(wasted, size int) bool {
+	return wasted > 4096 && wasted*4 > size
 }
+
+// shouldGC reports whether enough of the arena is dead to justify compaction.
+func (ca *clauseArena) shouldGC() bool { return gcWorthIt(ca.wasted, len(ca.data)) }
 
 // garbageCollect compacts the arena, dropping freed clauses and rewriting
 // every live reference (clause databases, watchers, assignment reasons).
@@ -118,7 +123,7 @@ func (s *Solver) garbageCollect() {
 	for l := range s.watches {
 		ws := s.watches[l]
 		for i := range ws {
-			ws[i].cref = move(ws[i].cref)
+			ws[i].cref = move(ws[i].clause()) | ws[i].cref&binFlag
 		}
 	}
 	for _, l := range s.trail {

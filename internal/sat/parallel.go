@@ -137,7 +137,7 @@ func (s *Solver) clone() *Solver {
 		learnts: append([]ClauseRef(nil), s.learnts...),
 		watches: make([][]watcher, len(s.watches)),
 
-		assigns:  append([]lbool(nil), s.assigns...),
+		vals:     append([]lbool(nil), s.vals...),
 		vardata:  append([]varData(nil), s.vardata...),
 		polarity: append([]bool(nil), s.polarity...),
 		activity: append([]float64(nil), s.activity...),
@@ -160,7 +160,6 @@ func (s *Solver) clone() *Solver {
 
 		ConflictBudget: s.ConflictBudget,
 		Deadline:       s.Deadline,
-		Interrupt:      s.Interrupt,
 	}
 	for i := range s.watches {
 		c.watches[i] = append([]watcher(nil), s.watches[i]...)
@@ -413,7 +412,7 @@ func (s *Solver) SolveAssumeParallel(ctx context.Context, workers int, assumps .
 		s.stop = StopCanceled
 		for _, w := range ws {
 			switch w.stop {
-			case StopDeadline, StopConflictBudget, StopInterrupt:
+			case StopDeadline, StopConflictBudget:
 				s.stop = w.stop
 			}
 		}

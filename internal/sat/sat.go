@@ -1,14 +1,16 @@
 // Package sat implements a CDCL (conflict-driven clause learning) Boolean
-// satisfiability solver in the style of zChaff/MiniSat: two-literal watching,
-// first-UIP conflict analysis with clause minimization, VSIDS variable
-// activities, phase saving, Luby restarts and activity-based learnt-clause
-// database reduction.
+// satisfiability solver in the style of zChaff/MiniSat: two-literal watching
+// with blocker literals (binary clauses resolved from the watcher alone),
+// first-UIP conflict analysis with MiniSat's recursive clause minimization,
+// VSIDS variable activities, phase saving, Luby restarts and activity-based
+// learnt-clause database reduction.
 //
 // Clauses live in a flat arena ([]Lit) addressed by ClauseRef offsets rather
 // than individual heap allocations: watchers, reasons and the learnt database
 // are int32 references, so propagation walks contiguous memory and cloning a
 // solver for the parallel portfolio (SolveParallel) is a handful of copy
-// calls.
+// calls. Assignments are stored per literal, so reading a literal's value is
+// one load with no branch.
 //
 // It is the substrate standing in for the zChaff solver used in the paper's
 // experiments. The solver exposes the statistics the paper reports
@@ -18,7 +20,6 @@ package sat
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"sufsat/internal/obs"
@@ -67,13 +68,6 @@ const (
 	lUndef lbool = 0
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
-
 // Status is the result of a Solve call.
 type Status int
 
@@ -99,7 +93,8 @@ func (s Status) String() string {
 
 // Stats collects solver counters. ConflictClauses is the number of learnt
 // (conflict) clauses ever added — the quantity reported in the paper's
-// Figure 2 — and Clauses is the number of problem (CNF) clauses.
+// Figure 2 — and Clauses is the number of problem (CNF) clauses added,
+// unit clauses included.
 type Stats struct {
 	Vars            int
 	Clauses         int
@@ -130,8 +125,6 @@ const (
 	StopConflictBudget
 	// StopDeadline: the Deadline (or a context deadline) passed.
 	StopDeadline
-	// StopInterrupt: the legacy Interrupt flag was set.
-	StopInterrupt
 	// StopCanceled: the context was canceled.
 	StopCanceled
 )
@@ -144,8 +137,6 @@ func (c StopCause) String() string {
 		return "conflict-budget"
 	case StopDeadline:
 		return "deadline"
-	case StopInterrupt:
-		return "interrupt"
 	case StopCanceled:
 		return "canceled"
 	}
@@ -153,11 +144,19 @@ func (c StopCause) String() string {
 }
 
 // watcher is one entry of a literal's watch list. Satisfied blockers skip the
-// clause without touching its literals; cref addresses the clause arena.
+// clause without touching its literals; cref addresses the clause arena. A
+// binary clause's watcher carries binFlag in cref and the clause's other
+// literal as its blocker, so propagation resolves it without the arena.
 type watcher struct {
 	cref    ClauseRef
 	blocker Lit
 }
+
+// binFlag marks the watcher of a binary clause (the sign bit of cref).
+const binFlag ClauseRef = -1 << 31
+
+// clause returns the arena reference of w's clause.
+func (w watcher) clause() ClauseRef { return w.cref &^ binFlag }
 
 // varData records why and where a variable was assigned.
 type varData struct {
@@ -175,11 +174,17 @@ type Solver struct {
 	learnts []ClauseRef
 	watches [][]watcher // indexed by Lit
 
-	assigns  []lbool // indexed by Var
+	vals     []lbool // indexed by Lit: vals[l] is the value of l
 	vardata  []varData
 	polarity []bool // saved phase, true = last value was false (MiniSat style: sign to pick)
 	activity []float64
 	seen     []byte
+
+	// Scratch buffers reused across calls (AddClause, analyze).
+	addBuf   []Lit
+	learnt   []Lit
+	toClear  []Var
+	minStack []Lit
 
 	order heap // decision order, max-activity
 
@@ -226,9 +231,6 @@ type Solver struct {
 	// Budget controls.
 	ConflictBudget int64     // ≤0 means unlimited
 	Deadline       time.Time // zero means none
-	// Interrupt, when non-nil and set, makes Solve return Unknown at the
-	// next conflict boundary (legacy cancellation; prefer Ctx).
-	Interrupt *atomic.Bool
 	// Ctx, when non-nil, is polled during search; once done, Solve returns
 	// Unknown with StopCanceled or StopDeadline within a bounded number of
 	// search steps.
@@ -243,6 +245,13 @@ type Solver struct {
 	stop     StopCause
 	model    []bool
 	parStats ParallelStats
+}
+
+// learntLimit is the initial learnt-clause limit of a solve over the given
+// number of problem clauses. Package tests lower it to force frequent
+// reduceDB and arena collection.
+var learntLimit = func(problemClauses int) float64 {
+	return max(float64(problemClauses)*0.3, 1000)
 }
 
 // New returns an empty solver.
@@ -261,31 +270,22 @@ func New() *Solver {
 
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.vardata)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.vardata = append(s.vardata, varData{reason: CRefUndef})
 	s.polarity = append(s.polarity, true)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.order.insert(v)
-	s.stats.Vars = len(s.assigns)
+	s.stats.Vars = len(s.vardata)
 	return v
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.vardata) }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -v
-	}
-	return v
-}
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
 
 func (s *Solver) level(v Var) int { return int(s.vardata[v].level) }
 
@@ -302,32 +302,39 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.decisionLevel() != 0 {
 		s.cancelUntil(0)
 	}
-	// Sort-free simplification: drop duplicate and false literals, detect
-	// tautologies and satisfied clauses.
-	out := make([]Lit, 0, len(lits))
-outer:
+	// Sort-free simplification in one pass: drop duplicate and false
+	// literals, detect tautologies and satisfied clauses. seen marks the
+	// sign of each variable already kept (1 positive, 2 negative).
+	out := s.addBuf[:0]
+	drop := false // satisfied at level 0, or a tautology
 	for _, l := range lits {
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at level 0
-		case lFalse:
-			continue // drop
+		val := s.value(l)
+		if val == lFalse {
+			continue
 		}
-		for _, m := range out {
-			if m == l {
-				continue outer
-			}
-			if m == l.Not() {
-				return true // tautology
-			}
+		mark, m := byte(1+l&1), s.seen[l.Var()]
+		if val == lTrue || m != 0 && m != mark {
+			drop = true
+			break
 		}
-		out = append(out, l)
+		if m == 0 {
+			s.seen[l.Var()] = mark
+			out = append(out, l)
+		}
+	}
+	for _, l := range out {
+		s.seen[l.Var()] = 0
+	}
+	s.addBuf = out
+	if drop {
+		return true
 	}
 	switch len(out) {
 	case 0:
 		s.unsatFlag = true
 		return false
 	case 1:
+		s.stats.Clauses++
 		s.uncheckedEnqueue(out[0], CRefUndef)
 		if s.propagate() != CRefUndef {
 			s.unsatFlag = true
@@ -337,7 +344,7 @@ outer:
 	}
 	r := s.ca.alloc(out, false)
 	s.clauses = append(s.clauses, r)
-	s.stats.Clauses = len(s.clauses)
+	s.stats.Clauses++
 	s.attach(r)
 	return true
 }
@@ -345,8 +352,12 @@ outer:
 func (s *Solver) attach(r ClauseRef) {
 	lits := s.ca.lits(r)
 	l0, l1 := lits[0], lits[1]
-	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{r, l1})
-	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{r, l0})
+	w := r
+	if len(lits) == 2 {
+		w |= binFlag
+	}
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{w, l1})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{w, l0})
 }
 
 func (s *Solver) detach(r ClauseRef) {
@@ -358,7 +369,7 @@ func (s *Solver) detach(r ClauseRef) {
 func (s *Solver) removeWatch(l Lit, r ClauseRef) {
 	ws := s.watches[l]
 	for i := range ws {
-		if ws[i].cref == r {
+		if ws[i].clause() == r {
 			ws[i] = ws[len(ws)-1]
 			s.watches[l] = ws[:len(ws)-1]
 			return
@@ -367,45 +378,66 @@ func (s *Solver) removeWatch(l Lit, r ClauseRef) {
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from ClauseRef) {
-	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Neg())
-	s.vardata[v] = varData{reason: from, level: int32(s.decisionLevel())}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
+	s.vardata[l.Var()] = varData{reason: from, level: int32(s.decisionLevel())}
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
 // CRefUndef.
 func (s *Solver) propagate() ClauseRef {
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
 		ws := s.watches[p]
+		np := p.Not()
 		n := 0
+		var confl ClauseRef = CRefUndef
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[n] = w
 				n++
+				continue
+			}
+			if w.cref < 0 {
+				// Binary clause: the blocker is the other literal, so it
+				// is unit or conflicting right here.
+				ws[n] = w
+				n++
+				r := w.clause()
+				if vals[w.blocker] == lFalse {
+					// Leave the literals in the order the general path
+					// would have, which analyze reads.
+					lits := s.ca.lits(r)
+					lits[0], lits[1] = w.blocker, np
+					confl = r
+					i++
+					n += copy(ws[n:], ws[i:])
+					break
+				}
+				s.uncheckedEnqueue(w.blocker, r)
 				continue
 			}
 			r := w.cref
 			lits := s.ca.lits(r)
 			// Make sure the false literal (¬p) is at position 1.
-			np := p.Not()
 			if lits[0] == np {
 				lits[0], lits[1] = lits[1], np
 			}
 			first := lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
+			if first != w.blocker && vals[first] == lTrue {
 				ws[n] = watcher{r, first}
 				n++
 				continue
 			}
 			// Look for a new literal to watch.
 			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != lFalse {
+				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					nl := lits[1].Not()
 					s.watches[nl] = append(s.watches[nl], watcher{r, first})
@@ -415,19 +447,19 @@ func (s *Solver) propagate() ClauseRef {
 			// Clause is unit or conflicting.
 			ws[n] = watcher{r, first}
 			n++
-			if s.value(first) == lFalse {
-				// Conflict: copy remaining watchers back and bail.
-				for i++; i < len(ws); i++ {
-					ws[n] = ws[i]
-					n++
-				}
-				s.watches[p] = ws[:n]
-				s.qhead = len(s.trail)
-				return r
+			if vals[first] == lFalse {
+				confl = r
+				i++
+				n += copy(ws[n:], ws[i:])
+				break
 			}
 			s.uncheckedEnqueue(first, r)
 		}
 		s.watches[p] = ws[:n]
+		if confl != CRefUndef {
+			s.qhead = len(s.trail)
+			return confl
+		}
 	}
 	return CRefUndef
 }
@@ -438,9 +470,11 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	lim := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= lim; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
-		s.polarity[v] = s.trail[i].Neg()
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
+		s.polarity[v] = l.Neg()
 		if !s.order.inHeap(v) {
 			s.order.insert(v)
 		}
@@ -477,8 +511,8 @@ func (s *Solver) claBump(r ClauseRef) {
 // analyze performs first-UIP conflict analysis and returns the learnt clause
 // (asserting literal first) and the backtrack level.
 func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
-	learnt := make([]Lit, 1, 8) // learnt[0] reserved for the asserting literal
-	toClear := make([]Var, 0, 16)
+	learnt := append(s.learnt[:0], LitUndef) // learnt[0] reserved for the asserting literal
+	s.toClear = s.toClear[:0]
 	pathC := 0
 	var p Lit = LitUndef
 	idx := len(s.trail) - 1
@@ -488,6 +522,11 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
 		clits := s.ca.lits(confl)
 		start := 0
 		if p != LitUndef {
+			// A reason clause holds its implied literal p first; binary
+			// clauses propagate without reordering, so fix them up here.
+			if clits[0] != p {
+				clits[0], clits[1] = p, clits[0]
+			}
 			start = 1
 		}
 		for _, q := range clits[start:] {
@@ -495,7 +534,7 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
 			if s.seen[v] == 0 && s.level(v) > 0 {
 				s.varBump(v)
 				s.seen[v] = 1
-				toClear = append(toClear, v)
+				s.toClear = append(s.toClear, v)
 				if s.level(v) >= s.decisionLevel() {
 					pathC++
 				} else {
@@ -518,29 +557,19 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
 	}
 	learnt[0] = p.Not()
 
-	// Conflict-clause minimization (basic self-subsumption): a literal is
-	// redundant if it was implied by literals already in the clause.
+	// Conflict-clause minimization, MiniSat's recursive form: a literal is
+	// redundant when its implication graph leads back only to literals of
+	// the clause (or of level 0). The clause's decision levels, hashed into
+	// 32 bits, prune the search at literals from other levels.
+	var levels uint32
+	for _, l := range learnt[1:] {
+		levels |= s.abstractLevel(l.Var())
+	}
 	j := 1
 	for i := 1; i < len(learnt); i++ {
-		v := learnt[i].Var()
-		r := s.vardata[v].reason
-		if r == CRefUndef {
-			learnt[j] = learnt[i]
-			j++
-			continue
-		}
-		redundant := true
-		for _, q := range s.ca.lits(r) {
-			if q.Var() == v {
-				continue
-			}
-			if s.seen[q.Var()] == 0 && s.level(q.Var()) > 0 {
-				redundant = false
-				break
-			}
-		}
-		if !redundant {
-			learnt[j] = learnt[i]
+		l := learnt[i]
+		if s.vardata[l.Var()].reason == CRefUndef || !s.litRedundant(l, levels) {
+			learnt[j] = l
 			j++
 		}
 	}
@@ -559,10 +588,47 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
 		btLevel = s.level(learnt[1].Var())
 	}
 
-	for _, v := range toClear {
+	for _, v := range s.toClear {
 		s.seen[v] = 0
 	}
+	s.learnt = learnt
 	return learnt, btLevel
+}
+
+// abstractLevel hashes v's decision level to one of 32 bits.
+func (s *Solver) abstractLevel(v Var) uint32 { return 1 << (s.vardata[v].level & 31) }
+
+// litRedundant reports whether the learnt-clause literal p is implied by the
+// clause's other literals (those marked seen), searching p's reasons depth
+// first. Literals it proves redundant stay marked, so later queries reuse
+// them; a failed search unmarks what it marked. Every mark is recorded in
+// toClear.
+func (s *Solver) litRedundant(p Lit, levels uint32) bool {
+	stack := append(s.minStack[:0], p)
+	top := len(s.toClear)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1].Var()
+		stack = stack[:len(stack)-1]
+		for _, q := range s.ca.lits(s.vardata[v].reason) {
+			u := q.Var()
+			if u == v || s.seen[u] != 0 || s.level(u) == 0 {
+				continue
+			}
+			if s.vardata[u].reason == CRefUndef || s.abstractLevel(u)&levels == 0 {
+				for _, w := range s.toClear[top:] {
+					s.seen[w] = 0
+				}
+				s.toClear = s.toClear[:top]
+				s.minStack = stack
+				return false
+			}
+			s.seen[u] = 1
+			stack = append(stack, q)
+			s.toClear = append(s.toClear, u)
+		}
+	}
+	s.minStack = stack
+	return true
 }
 
 // nextRand steps the xorshift64* generator.
@@ -581,13 +647,13 @@ func (s *Solver) pickBranchLit() Lit {
 	if s.rndFreq > 0 && s.rndState != 0 &&
 		float64(s.nextRand()>>11)/(1<<53) < s.rndFreq && !s.order.empty() {
 		v := s.order.heap[int(s.nextRand()%uint64(len(s.order.heap)))]
-		if s.assigns[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}
 	for !s.order.empty() {
 		v := s.order.removeMin()
-		if s.assigns[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}
@@ -670,7 +736,7 @@ func luby(y float64, i int) float64 {
 	return p
 }
 
-// checkLimits polls the deadline, context and interrupt flag, recording the
+// checkLimits polls the deadline and the context, recording the
 // stop cause. It returns true when the search must stop.
 func (s *Solver) checkLimits(deadline time.Time) bool {
 	if !deadline.IsZero() && time.Now().After(deadline) {
@@ -687,10 +753,6 @@ func (s *Solver) checkLimits(deadline time.Time) bool {
 			s.stop = StopCanceled
 			return true
 		}
-	}
-	if s.Interrupt != nil && s.Interrupt.Load() {
-		s.stop = StopInterrupt
-		return true
 	}
 	return false
 }
@@ -833,17 +895,14 @@ func (s *Solver) solve() Status {
 		return Unsat
 	}
 	for _, p := range s.assumptions {
-		if int(p.Var()) >= len(s.assigns) {
+		if int(p.Var()) >= len(s.vardata) {
 			panic("sat: assumption literal names an unknown variable")
 		}
 	}
 	s.cancelUntil(0)
 	s.model = nil
 
-	s.maxLearnts = float64(len(s.clauses)) * 0.3
-	if s.maxLearnts < 1000 {
-		s.maxLearnts = 1000
-	}
+	s.maxLearnts = learntLimit(len(s.clauses))
 	s.learntAdjustIncr = 100
 	s.learntAdjustCnt = 100
 
@@ -873,9 +932,9 @@ func (s *Solver) solve() Status {
 		spent += n
 		switch st {
 		case Sat:
-			s.model = make([]bool, len(s.assigns))
-			for v := range s.assigns {
-				s.model[v] = s.assigns[v] == lTrue
+			s.model = make([]bool, len(s.vardata))
+			for v := range s.model {
+				s.model[v] = s.vals[PosLit(v)] == lTrue
 			}
 			s.cancelUntil(0)
 			return Sat
@@ -923,8 +982,6 @@ type heap struct {
 	act     *[]float64
 }
 
-func (h *heap) less(a, b Var) bool { return (*h.act)[a] > (*h.act)[b] }
-
 func (h *heap) empty() bool { return len(h.heap) == 0 }
 
 func (h *heap) inHeap(v Var) bool { return v < len(h.indices) && h.indices[v] != 0 }
@@ -953,11 +1010,15 @@ func (h *heap) removeMin() Var {
 	return x
 }
 
+// percolateUp and percolateDown load the activity slice once; ordering is
+// by activity, highest first.
 func (h *heap) percolateUp(i int) {
+	act := *h.act
 	x := h.heap[i]
+	ax := act[x]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(x, h.heap[p]) {
+		if !(ax > act[h.heap[p]]) {
 			break
 		}
 		h.heap[i] = h.heap[p]
@@ -969,17 +1030,19 @@ func (h *heap) percolateUp(i int) {
 }
 
 func (h *heap) percolateDown(i int) {
+	act := *h.act
 	x := h.heap[i]
+	ax := act[x]
 	for {
 		l, r := 2*i+1, 2*i+2
 		if l >= len(h.heap) {
 			break
 		}
 		child := l
-		if r < len(h.heap) && h.less(h.heap[r], h.heap[l]) {
+		if r < len(h.heap) && act[h.heap[r]] > act[h.heap[l]] {
 			child = r
 		}
-		if !h.less(h.heap[child], x) {
+		if !(act[h.heap[child]] > ax) {
 			break
 		}
 		h.heap[i] = h.heap[child]

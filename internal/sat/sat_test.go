@@ -1,8 +1,8 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -379,18 +379,21 @@ func TestReduceDBKeepsCorrectness(t *testing.T) {
 	}
 }
 
-func TestInterruptFlag(t *testing.T) {
+func TestCanceledCtx(t *testing.T) {
 	s := New()
 	pigeonhole(s, 6, 5)
-	var stop atomic.Bool
-	stop.Store(true)
-	s.Interrupt = &stop
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Ctx = ctx
 	if got := s.Solve(); got != Unknown {
-		t.Fatalf("got %v, want Unknown under interrupt", got)
+		t.Fatalf("got %v, want Unknown under a canceled context", got)
 	}
-	// Clearing the flag lets it finish.
-	stop.Store(false)
+	if got := s.StopReason(); got != StopCanceled {
+		t.Fatalf("stop reason %v, want %v", got, StopCanceled)
+	}
+	// Dropping the canceled context lets it finish.
+	s.Ctx = nil
 	if got := s.Solve(); got != Unsat {
-		t.Fatalf("got %v, want Unsat after clearing interrupt", got)
+		t.Fatalf("got %v, want Unsat after dropping the context", got)
 	}
 }
