@@ -39,7 +39,7 @@ func decideBench(b *testing.B, name string, m core.Method, threshold int) {
 		f, sb := bm.Build()
 		res := core.Decide(f, sb, core.Options{
 			Method: m, SepThreshold: threshold,
-			Timeout: benchTimeout, MaxTrans: 1_000_000,
+			Timeout: benchTimeout, MaxTransClauses: 1_000_000,
 		})
 		if res.Status != core.Valid {
 			b.Fatalf("%s via %v: %v (%v)", name, m, res.Status, res.Err)
@@ -110,7 +110,7 @@ func BenchmarkFig6(b *testing.B) {
 				case "CVC":
 					status = lazy.Decide(f, sb, benchTimeout).Status
 				default:
-					status = core.Decide(f, sb, core.Options{Timeout: benchTimeout, MaxTrans: 1_000_000}).Status
+					status = core.Decide(f, sb, core.Options{Timeout: benchTimeout, MaxTransClauses: 1_000_000}).Status
 				}
 				if status == core.Timeout {
 					// The baselines time out on most of the suite — that IS
@@ -159,7 +159,7 @@ func BenchmarkEncodeOnly(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				f, sb := bm.Build()
-				res := core.Decide(f, sb, core.Options{Method: m, Timeout: benchTimeout, MaxTrans: 1_000_000})
+				res := core.Decide(f, sb, core.Options{Method: m, Timeout: benchTimeout, MaxTransClauses: 1_000_000})
 				if res.Status != core.Valid {
 					b.Fatalf("%v: %v", m, res.Status)
 				}
@@ -226,7 +226,7 @@ func BenchmarkAblationElimination(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					f, sb := bm.Build()
 					res := core.Decide(f, sb, core.Options{
-						Ackermann: ack, Timeout: benchTimeout, MaxTrans: 2_000_000,
+						Ackermann: ack, Timeout: benchTimeout, MaxTransClauses: 2_000_000,
 					})
 					if res.Status != core.Valid {
 						b.Fatalf("%s ack=%v: %v", name, ack, res.Status)
@@ -248,7 +248,7 @@ func BenchmarkAblationPortfolio(b *testing.B) {
 		b.Run("PORTFOLIO/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f, sb := bm.Build()
-				res := core.DecidePortfolio(f, sb, core.Options{Timeout: benchTimeout, MaxTrans: 1_000_000})
+				res := core.DecidePortfolio(f, sb, core.Options{Timeout: benchTimeout, MaxTransClauses: 1_000_000})
 				if res.Status != core.Valid {
 					b.Fatalf("%s: %v", name, res.Status)
 				}

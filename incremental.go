@@ -47,30 +47,11 @@ func OpenSession(f Formula, opts Options) (*Session, error) {
 
 // OpenSessionContext is OpenSession under a caller-supplied context.
 func OpenSessionContext(ctx context.Context, f Formula, opts Options) (*Session, error) {
-	var m core.Method
-	switch opts.Method {
-	case MethodHybrid:
-		m = core.Hybrid
-	case MethodSD:
-		m = core.SD
-	case MethodEIJ:
-		m = core.EIJ
-	default:
+	co, eager := opts.coreOptions()
+	if !eager {
 		return nil, fmt.Errorf("sufsat: method %v does not support sessions", opts.Method)
 	}
-	cs, err := core.OpenSession(ctx, f.f, f.b.sb, core.Options{
-		Method:            m,
-		SepThreshold:      opts.SepThreshold,
-		MaxTrans:          opts.MaxTrans,
-		MaxTransClauses:   opts.MaxTransClauses,
-		MaxCNFClauses:     opts.MaxCNFClauses,
-		MaxConflicts:      opts.MaxConflicts,
-		MaxMemoryEstimate: opts.MaxMemoryEstimate,
-		SolverWorkers:     opts.SolverWorkers,
-		NoDegrade:         opts.NoDegrade,
-		Timeout:           opts.Timeout,
-		Ackermann:         opts.Ackermann,
-	})
+	cs, err := core.OpenSession(ctx, f.f, f.b.sb, co)
 	if err != nil {
 		return nil, err
 	}
@@ -89,19 +70,7 @@ func (s *Session) DecideAssuming(assume map[string]bool) *Result {
 // DecideAssumingContext is DecideAssuming under a caller-supplied context.
 func (s *Session) DecideAssumingContext(ctx context.Context, assume map[string]bool) *Result {
 	r := s.s.DecideAssuming(ctx, assume)
-	out := &Result{Status: r.Status, Err: r.Err, Stats: Stats{
-		Nodes:           r.Stats.SUFNodes,
-		SepPreds:        r.Stats.SepPreds,
-		Classes:         r.Stats.Classes,
-		SDClasses:       r.Stats.SDClasses,
-		DemotedClasses:  r.Stats.DemotedClasses,
-		PFuncFraction:   r.Stats.PFraction,
-		CNFClauses:      r.Stats.CNFClauses,
-		ConflictClauses: r.Stats.SAT.ConflictClauses,
-		EncodeTime:      r.Stats.EncodeTime,
-		SATTime:         r.Stats.SATTime,
-		TotalTime:       r.Stats.TotalTime,
-	}}
+	out := &Result{Status: r.Status, Err: r.Err, Stats: statsOf(&r.Stats)}
 	if r.Model != nil {
 		out.Counterexample = &Counterexample{m: r.Model}
 	}

@@ -18,19 +18,19 @@ import (
 // check; RunBMCStream fails rather than reporting a speedup built on a
 // verdict mismatch.
 
-// BMCStreamReport is the JSON artifact of one BMC-stream comparison.
+// BMCStreamReport is the outcome of one BMC-stream comparison.
 type BMCStreamReport struct {
-	System string `json:"system"`
-	Depth  int    `json:"depth"`
+	System string
+	Depth  int
 	// Queries is the number of per-depth validity checks in the sweep.
-	Queries int `json:"queries"`
+	Queries int
 	// Holds is the (agreed) verdict of the sweep.
-	Holds bool `json:"holds"`
+	Holds bool
 
-	ColdMS float64 `json:"cold_ms"`
-	WarmMS float64 `json:"warm_ms"`
+	ColdMS float64
+	WarmMS float64
 	// Speedup is ColdMS / WarmMS.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 }
 
 // lockstepSystem builds the redundant-datapath system: two copies of an

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,10 +17,11 @@ import (
 )
 
 // ChaosConfig parameterizes RunChaos: a fleet soak through an in-process
-// sufrouter (race-instrumented when the caller is) over real sufserved OS
-// processes, with scripted chaos — one backend SIGKILLed and restarted on a
-// schedule, another behind a fault-injecting TCP proxy cycling latency and
-// blackhole windows. The soak clients and verdict verification are RunSoak's.
+// hedging sufrouter (race-instrumented when the caller is) over real
+// sufserved OS processes, with scripted chaos — backend 1 SIGKILLed and
+// restarted on a schedule, the last backend behind a fault-injecting TCP
+// proxy cycling latency → clean → blackhole → clean windows. The soak
+// clients and verdict verification are RunSoak's.
 type ChaosConfig struct {
 	// ServedBin is the path to a built sufserved binary (BuildBinary).
 	ServedBin string
@@ -31,20 +31,6 @@ type ChaosConfig struct {
 	Clients   int
 	Requests  int
 	TimeoutMS int64
-	// Hedge enables hedged requests on the router (auto p95 delay); with it
-	// off, a blackholed backend costs every affected request its full
-	// deadline — the comparison BENCH_PR6.json records.
-	Hedge bool
-	// Kill SIGKILLs backend 1 and restarts it, repeatedly, during the soak.
-	Kill bool
-	// NetFaults routes the last backend through a NetProxy cycling
-	// latency → clean → blackhole → clean windows.
-	NetFaults bool
-	// CacheMix, in (0,1), replaces that fraction of requests with
-	// alpha-renamed respellings of earlier formulas (SoakConfig.CacheMix), so
-	// the fleet's verdict caches see repeat fingerprints and the per-backend
-	// cache-affinity report measures something.
-	CacheMix float64
 	// KillInterval is the crash cadence (0 = 1500ms kill, restart after 700ms).
 	KillInterval time.Duration
 	// FaultWindow is each proxy-fault window's length (0 = 800ms).
@@ -53,55 +39,30 @@ type ChaosConfig struct {
 	Log io.Writer
 }
 
-// ChaosReport is the JSON artifact of one chaos phase.
+// ChaosReport is the outcome of one chaos soak.
 type ChaosReport struct {
 	*SoakReport
-	Hedge       bool `json:"hedge"`
-	Kills       int  `json:"kills"`
-	Restarts    int  `json:"restarts"`
-	FaultCycles int  `json:"fault_cycles"`
+	Kills       int
+	Restarts    int
+	FaultCycles int
 
 	// RouterTimeouts counts router-synthesized 504s: requests that reached
 	// their deadline with no backend answer. These count against
 	// availability — a definitive verdict or a clean 503 does not.
-	RouterTimeouts int64 `json:"router_timeouts"`
+	RouterTimeouts int64
 	// Availability = 1 − (transport errors + panics + router timeouts) /
 	// completed: the fraction of requests that got a definitive answer or a
 	// clean, retryable 503.
-	Availability float64 `json:"availability"`
+	Availability float64
 
 	// Router-side counters scraped from the router's /metrics after the load.
-	RouterFailovers float64 `json:"router_failovers"`
-	RouterHedges    float64 `json:"router_hedges"`
-	RouterHedgeWins float64 `json:"router_hedge_wins"`
-	RouterSheds     float64 `json:"router_sheds"`
-
-	// CacheAffinity is the per-backend verdict-cache view scraped from every
-	// backend after the load (set when ChaosConfig.CacheMix > 0): warm-node
-	// affinity across the kill/restart cycles.
-	CacheAffinity *AffinityReport `json:"cache_affinity,omitempty"`
+	RouterFailovers float64
+	RouterHedges    float64
+	RouterHedgeWins float64
+	RouterSheds     float64
 }
 
-// ChaosBenchReport is the two-phase chaos artifact (BENCH_PR6.json): the
-// same scripted chaos with hedging on and off. The headline number is the
-// tail-latency ratio — hedging must not make the p99 worse, and with a
-// blackholed backend in the fleet it should make it much better (an unhedged
-// request stuck in a blackhole pays its full deadline).
-type ChaosBenchReport struct {
-	Hedged   *ChaosReport `json:"hedged"`
-	Unhedged *ChaosReport `json:"unhedged"`
-	// HedgeP99SpeedupX = unhedged p99 / hedged p99 (>= 1 when hedging helps).
-	HedgeP99SpeedupX float64 `json:"hedge_p99_speedup_x"`
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *ChaosBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// RunChaos runs one chaos phase and returns its report. The router runs
+// RunChaos runs one chaos soak and returns its report. The router runs
 // in-process (so -race instruments it); the backends are real processes (so
 // SIGKILL is a real crash). On return every process is stopped and every
 // router goroutine joined.
@@ -151,29 +112,21 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	logf("chaos: %d backends up", len(procs))
 
-	// Optional network-fault proxy in front of the last backend: the router
+	// The network-fault proxy in front of the last backend: the router
 	// dials the proxy, so latency/blackhole windows hit the wire the router
 	// sees, not the backend process.
-	var proxy *faultinject.NetProxy
-	if cfg.NetFaults {
-		target := strings.TrimPrefix(urls[len(urls)-1], "http://")
-		var err error
-		proxy, err = faultinject.NewProxy(target)
-		if err != nil {
-			return nil, err
-		}
-		defer proxy.Close()
-		urls[len(urls)-1] = "http://" + proxy.Addr()
-		proxy.SetLatency(250 * time.Millisecond)
+	proxy, err := faultinject.NewProxy(strings.TrimPrefix(urls[len(urls)-1], "http://"))
+	if err != nil {
+		return nil, err
 	}
+	defer proxy.Close()
+	urls[len(urls)-1] = "http://" + proxy.Addr()
+	proxy.SetLatency(250 * time.Millisecond)
 
-	// The router: in-process, fast probe cadence and short breaker cooldowns
-	// so recovery happens within the soak, generous budgets so the scripted
-	// faults — not budget exhaustion — dominate the measurement.
-	hedgeDelay := time.Duration(-1)
-	if cfg.Hedge {
-		hedgeDelay = 0 // auto: p95-derived
-	}
+	// The router: in-process, hedging on its p95-derived delay, fast probe
+	// cadence and short breaker cooldowns so recovery happens within the
+	// soak, generous budgets so the scripted faults — not budget exhaustion —
+	// dominate the measurement.
 	reg := obs.NewRegistry()
 	rt, err := router.New(router.Config{
 		Backends:       urls,
@@ -181,7 +134,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		HealthInterval: 100 * time.Millisecond,
 		ProbeTimeout:   500 * time.Millisecond,
 		MaxInFlight:    1024,
-		HedgeDelay:     hedgeDelay,
 		HedgeRatio:     0.5,
 		HedgeBurst:     32,
 		FailoverRatio:  0.5,
@@ -211,7 +163,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	defer stopChaos()
 	var chaosWG sync.WaitGroup
 	var kills, restarts, cycles atomic.Int64
-	if cfg.Kill && len(procs) >= 2 {
+	if len(procs) >= 2 {
 		victim := procs[1]
 		chaosWG.Add(1)
 		go func() {
@@ -244,28 +196,26 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			}
 		}()
 	}
-	if proxy != nil {
-		chaosWG.Add(1)
-		go func() {
-			defer chaosWG.Done()
-			modes := []faultinject.NetFault{
-				faultinject.FaultLatency, faultinject.FaultNone,
-				faultinject.FaultBlackhole, faultinject.FaultNone,
+	chaosWG.Add(1)
+	go func() {
+		defer chaosWG.Done()
+		modes := []faultinject.NetFault{
+			faultinject.FaultLatency, faultinject.FaultNone,
+			faultinject.FaultBlackhole, faultinject.FaultNone,
+		}
+		for i := 0; ; i++ {
+			if sleepDone(chaosCtx, cfg.FaultWindow) {
+				proxy.SetMode(faultinject.FaultNone)
+				return
 			}
-			for i := 0; ; i++ {
-				if sleepDone(chaosCtx, cfg.FaultWindow) {
-					proxy.SetMode(faultinject.FaultNone)
-					return
-				}
-				m := modes[i%len(modes)]
-				proxy.SetMode(m)
-				if m == faultinject.FaultNone {
-					cycles.Add(1)
-				}
-				logf("chaos: proxy mode %s", m)
+			m := modes[i%len(modes)]
+			proxy.SetMode(m)
+			if m == faultinject.FaultNone {
+				cycles.Add(1)
 			}
-		}()
-	}
+			logf("chaos: proxy mode %s", m)
+		}
+	}()
 
 	// The load itself: RunSoak's verifying clients pointed at the router.
 	rep, err := RunSoak(ctx, SoakConfig{
@@ -273,7 +223,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		Clients:   cfg.Clients,
 		Requests:  cfg.Requests,
 		TimeoutMS: cfg.TimeoutMS,
-		CacheMix:  cfg.CacheMix,
 		Log:       cfg.Log,
 	})
 	stopChaos()
@@ -284,7 +233,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 
 	crep := &ChaosReport{
 		SoakReport:  rep,
-		Hedge:       cfg.Hedge,
 		Kills:       int(kills.Load()),
 		Restarts:    int(restarts.Load()),
 		FaultCycles: int(cycles.Load()),
@@ -301,23 +249,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		crep.RouterHedgeWins = scrape.Sum("sufrouter_hedge_wins_total")
 		crep.RouterSheds = scrape.Sum("sufrouter_sheds_total")
 	}
-	// Per-backend cache scrape, against each backend's real URL (not the
-	// fault proxy): the warm-node affinity view across the chaos.
-	if cfg.CacheMix > 0 {
-		victimIdx, proxiedIdx := -1, -1
-		if cfg.Kill && len(procs) >= 2 {
-			victimIdx = 1
-		}
-		if cfg.NetFaults {
-			proxiedIdx = len(procs) - 1
-		}
-		crep.CacheAffinity = collectAffinity(procs, victimIdx, proxiedIdx)
-		if a := crep.CacheAffinity; a != nil {
-			logf("chaos: cache affinity fleet=%.3f stable=%.3f victim=%.3f",
-				a.FleetHitRate, a.StableHitRate, a.VictimHitRate)
-		}
-	}
-
 	// Orderly teardown inside the run (not the deferred fallback) so leak
 	// checks around RunChaos see every router goroutine joined.
 	front.Close()

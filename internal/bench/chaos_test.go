@@ -39,9 +39,6 @@ func TestChaosSoak(t *testing.T) {
 			Clients:      10,
 			Requests:     250,
 			TimeoutMS:    8000,
-			Hedge:        true,
-			Kill:         true,
-			NetFaults:    true,
 			KillInterval: 400 * time.Millisecond,
 			FaultWindow:  300 * time.Millisecond,
 			Log:          testLogWriter{t},

@@ -24,6 +24,11 @@ import (
 // the report can compare the survivors' verdict-cache warmth before and after
 // the ring reshuffles around the joiner.
 
+// moveSlack is each step's allowance over its 1/N fair share in the
+// moved-keys gate: the tight bound lives in the ring property test, this
+// gate catches full-reshuffle regressions.
+const moveSlack = 0.2
+
 // MembershipConfig parameterizes RunMembershipChaos.
 type MembershipConfig struct {
 	// ServedBin is a built sufserved binary (BuildBinary).
@@ -37,15 +42,11 @@ type MembershipConfig struct {
 	Requests  int
 	TimeoutMS int64
 	// CacheMix is the alpha-renamed repeat fraction (0 = 0.5): the soak must
-	// exercise the verdict caches for the affinity comparison to measure
-	// anything.
+	// exercise the verdict caches for the survivor cache-hit comparison to
+	// measure anything.
 	CacheMix float64
 	// StepPause is the settle time between roll actions (0 = 300ms).
 	StepPause time.Duration
-	// MoveSlack is the per-step allowance over the 1/N fair share in the
-	// moved-keys gate (0 = 0.2; the tight bound lives in the ring property
-	// test, this gate catches full-reshuffle regressions).
-	MoveSlack float64
 	// Log receives progress lines.
 	Log io.Writer
 }
@@ -53,51 +54,48 @@ type MembershipConfig struct {
 // MembershipStep records one membership action during the soak.
 type MembershipStep struct {
 	// Action: drain | kill | restart | rejoin | cold-join.
-	Action  string `json:"action"`
-	Backend string `json:"backend"`
+	Action  string
+	Backend string
 	// Epoch is the router's membership epoch after the action (0 for
 	// kill/restart, which are process events, not membership changes).
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// MovedRatio is the sampled keyspace fraction the action moved;
 	// MoveBound is the 1/N-fair-share gate it must stay under (0 = ungated).
-	MovedRatio float64 `json:"moved_ratio"`
-	MoveBound  float64 `json:"move_bound,omitempty"`
+	MovedRatio float64
+	MoveBound  float64
 }
 
-// MembershipReport is the artifact of one rolling-upgrade membership soak.
+// MembershipReport is the outcome of one rolling-upgrade membership soak.
 type MembershipReport struct {
 	// Roll is phase one (every backend rolled); Join is phase two (a cold
 	// backend added mid-load).
-	Roll *SoakReport `json:"roll"`
-	Join *SoakReport `json:"join"`
+	Roll *SoakReport
+	Join *SoakReport
 
-	Steps []MembershipStep `json:"steps"`
+	Steps []MembershipStep
 
 	// FinalEpoch must equal ExpectedEpoch: 1 (construction) + 2 per rolled
 	// backend (drain + rejoin) + 1 (cold join). Kills and restarts are
 	// process events and must NOT move the epoch.
-	FinalEpoch    uint64 `json:"final_epoch"`
-	ExpectedEpoch uint64 `json:"expected_epoch"`
+	FinalEpoch    uint64
+	ExpectedEpoch uint64
 
 	// MoveBoundViolations counts steps whose MovedRatio exceeded MoveBound.
-	MoveBoundViolations int `json:"move_bound_violations"`
+	MoveBoundViolations int
 
 	// Aggregates over both phases.
-	Completed       int64   `json:"completed"`
-	Mismatches      int64   `json:"mismatches"`
-	TransportErrors int64   `json:"transport_errors"`
-	Panics          int64   `json:"panics"`
-	RouterTimeouts  int64   `json:"router_timeouts"`
-	Availability    float64 `json:"availability"`
+	Completed       int64
+	Mismatches      int64
+	TransportErrors int64
+	Panics          int64
+	RouterTimeouts  int64
+	Availability    float64
 
 	// SurvivorHitsBeforeJoin / SurvivorHitsAfterJoin sum the original pool's
 	// sufsat_cache_hits_total around phase two: warm survivors must keep
 	// serving cache hits after the ring reshuffles around the joiner.
-	SurvivorHitsBeforeJoin float64 `json:"survivor_hits_before_join"`
-	SurvivorHitsAfterJoin  float64 `json:"survivor_hits_after_join"`
-
-	// Affinity is the final per-backend cache view, joiner included.
-	Affinity *AffinityReport `json:"affinity,omitempty"`
+	SurvivorHitsBeforeJoin float64
+	SurvivorHitsAfterJoin  float64
 }
 
 // adminChange posts one membership verb to the router's admin endpoint and
@@ -182,9 +180,6 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 	if cfg.StepPause <= 0 {
 		cfg.StepPause = 300 * time.Millisecond
 	}
-	if cfg.MoveSlack <= 0 {
-		cfg.MoveSlack = 0.2
-	}
 	logf := func(format string, args ...any) {
 		if cfg.Log != nil {
 			fmt.Fprintf(cfg.Log, format+"\n", args...)
@@ -249,7 +244,7 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 			st.Epoch = ch.Epoch
 			st.MovedRatio = ch.KeysMovedRatio
 			if fair > 0 {
-				st.MoveBound = fair + cfg.MoveSlack
+				st.MoveBound = fair + moveSlack
 				if st.MovedRatio > st.MoveBound {
 					rep.MoveBoundViolations++
 				}
@@ -354,7 +349,6 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 	}
 	rep.Join = joinRep
 	rep.SurvivorHitsAfterJoin = survivorCacheHits(procs[:cfg.Backends])
-	rep.Affinity = collectAffinity(procs, -1, -1)
 
 	rep.FinalEpoch = rt.Epoch()
 	rep.Completed = rollRep.Completed + joinRep.Completed
@@ -382,18 +376,4 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 		rep.FinalEpoch, rep.ExpectedEpoch, rep.Availability, rep.Mismatches,
 		rep.MoveBoundViolations, rep.SurvivorHitsBeforeJoin, rep.SurvivorHitsAfterJoin)
 	return rep, nil
-}
-
-// PR9Report is the dynamic-membership artifact (BENCH_PR9.json): the
-// rolling-upgrade membership soak with its per-step key-movement record and
-// the survivor cache-warmth comparison around the cold join.
-type PR9Report struct {
-	Membership *MembershipReport `json:"membership"`
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *PR9Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +17,7 @@ import (
 // SoakConfig parameterizes RunSoak: a load test that hammers a running
 // sufserved with concurrent retrying clients over the Sample16 workload
 // (plus invalid variants), verifying every verdict against the known ground
-// truth and measuring throughput, latency percentiles and the shed rate.
+// truth and counting throughput, sheds, degradations and cache hits.
 type SoakConfig struct {
 	// URL is the base URL of the server under test (e.g. http://127.0.0.1:8080).
 	URL string
@@ -30,9 +28,6 @@ type SoakConfig struct {
 	// TimeoutMS is the per-request deadline sent to the server
 	// (0 = the server's default deadline).
 	TimeoutMS int64
-	// InvalidEvery makes every nth request an invalid variant, exercising
-	// model extraction under load (0 = 5; negative disables).
-	InvalidEvery int
 	// BudgetEvery makes every nth request carry a 1-clause CNF budget,
 	// forcing a ResourceOut on the eager path so the server's degradation
 	// ladder must answer on the lazy path (0 = disabled).
@@ -51,60 +46,51 @@ type SoakConfig struct {
 	Log io.Writer
 }
 
-// SoakReport is the JSON artifact of one soak run (BENCH_PR5.json).
+// SoakReport is the outcome of one soak run. It carries counts, not
+// latencies: closed-loop clients measure queue depth, not service time.
 type SoakReport struct {
-	URL       string `json:"url"`
-	Clients   int    `json:"clients"`
-	Requests  int    `json:"requests"`
-	Completed int64  `json:"completed"`
+	URL       string
+	Clients   int
+	Requests  int
+	Completed int64
 
-	DurationMS    float64 `json:"duration_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-
-	// Latency percentiles over completed requests, shed retries included
-	// (the client-observed wall clock).
-	LatencyP50MS float64 `json:"latency_p50_ms"`
-	LatencyP90MS float64 `json:"latency_p90_ms"`
-	LatencyP99MS float64 `json:"latency_p99_ms"`
-	LatencyMaxMS float64 `json:"latency_max_ms"`
+	DurationMS    float64
+	ThroughputRPS float64
 
 	// Statuses counts final decision statuses ("valid", "invalid", ...).
-	Statuses map[string]int64 `json:"statuses"`
+	Statuses map[string]int64
 
 	// ShedRetried counts requests that were shed at least once and then
 	// succeeded on a retry; ShedGaveUp counts requests whose every attempt
 	// was shed. ShedRate is their sum over all requests.
-	ShedRetried int64   `json:"shed_retried"`
-	ShedGaveUp  int64   `json:"shed_gave_up"`
-	ShedRate    float64 `json:"shed_rate"`
+	ShedRetried int64
+	ShedGaveUp  int64
+	ShedRate    float64
 
 	// Degraded counts responses answered by the degradation ladder, split by
 	// reason; ladder responses are still verified against ground truth.
-	Degraded            int64 `json:"degraded"`
-	DegradedResourceOut int64 `json:"degraded_resource_out"`
-	DegradedSaturation  int64 `json:"degraded_saturation"`
+	Degraded            int64
+	DegradedResourceOut int64
+	DegradedSaturation  int64
 
 	// Panics counts structured 500s (contained request panics); Mismatches
 	// counts verdicts that contradict the known ground truth (must be 0);
 	// TransportErrors counts requests that failed below HTTP.
-	Panics          int64 `json:"panics"`
-	Mismatches      int64 `json:"mismatches"`
-	TransportErrors int64 `json:"transport_errors"`
+	Panics          int64
+	Mismatches      int64
+	TransportErrors int64
 
 	// CacheHits counts responses served from the server's verdict cache
 	// (Response.Cached); AlphaVariants counts requests issued as renamed
 	// spellings under CacheMix. CacheHitRate is hits over completed.
-	CacheHits     int64   `json:"cache_hits,omitempty"`
-	AlphaVariants int64   `json:"alpha_variants,omitempty"`
-	CacheHitRate  float64 `json:"cache_hit_rate,omitempty"`
-
-	// Metrics is the server-side view derived from a /metrics scrape after
-	// the load finished (in-process soaks only; nil when the server runs
-	// without a registry or remotely without /metrics).
-	Metrics *SoakMetrics `json:"metrics,omitempty"`
-	// Overhead is the telemetry-cost measurement and its ≤2% gate.
-	Overhead *MetricsOverhead `json:"metrics_overhead,omitempty"`
+	CacheHits     int64
+	AlphaVariants int64
+	CacheHitRate  float64
 }
+
+// soakInvalidEvery makes every fifth soak request an invalid variant, so
+// model extraction runs under load.
+const soakInvalidEvery = 5
 
 // soakItem is one prebuilt workload entry.
 type soakItem struct {
@@ -145,9 +131,6 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 128
 	}
-	if cfg.InvalidEvery == 0 {
-		cfg.InvalidEvery = 5
-	}
 
 	valids := soakWorkload()
 	invalids := soakInvalids()
@@ -159,18 +142,14 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 		Statuses: make(map[string]int64),
 	}
 	var (
-		next      atomic.Int64 // request ticket counter
-		mu        sync.Mutex   // guards latencies and rep during the run
-		latencies []float64
+		next atomic.Int64 // request ticket counter
+		mu   sync.Mutex   // guards rep during the run
 	)
 
-	record := func(latMS float64, f func()) {
+	record := func(f func()) {
 		mu.Lock()
 		defer mu.Unlock()
-		latencies = append(latencies, latMS)
-		if f != nil {
-			f()
-		}
+		f()
 	}
 
 	start := time.Now()
@@ -194,7 +173,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 					return
 				}
 				item := valids[ticket%int64(len(valids))]
-				if cfg.InvalidEvery > 0 && ticket%int64(cfg.InvalidEvery) == int64(cfg.InvalidEvery-1) {
+				if ticket%soakInvalidEvery == soakInvalidEvery-1 {
 					item = invalids[ticket%int64(len(invalids))]
 				}
 				// Cache mix: deterministically replace the chosen fraction of
@@ -218,21 +197,19 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 				if cfg.BudgetEvery > 0 && ticket%int64(cfg.BudgetEvery) == 0 {
 					req.MaxCNFClauses = 1
 				}
-				reqStart := time.Now()
 				resp, err := c.Decide(ctx, req)
-				latMS := float64(time.Since(reqStart).Microseconds()) / 1e3
 				atomic.AddInt64(&rep.Completed, 1)
 
 				if err != nil {
 					var re *client.RetryError
 					if errors.As(err, &re) {
-						record(latMS, func() { rep.ShedGaveUp++ })
+						record(func() { rep.ShedGaveUp++ })
 					} else if ctx.Err() == nil {
-						record(latMS, func() { rep.TransportErrors++ })
+						record(func() { rep.TransportErrors++ })
 					}
 					continue
 				}
-				record(latMS, func() {
+				record(func() {
 					rep.Statuses[resp.Status]++
 					if resp.Cached {
 						rep.CacheHits++
@@ -279,41 +256,14 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if elapsed > 0 {
 		rep.ThroughputRPS = float64(rep.Completed) / elapsed.Seconds()
 	}
-	sort.Float64s(latencies)
-	rep.LatencyP50MS = percentile(latencies, 0.50)
-	rep.LatencyP90MS = percentile(latencies, 0.90)
-	rep.LatencyP99MS = percentile(latencies, 0.99)
-	if n := len(latencies); n > 0 {
-		rep.LatencyMaxMS = latencies[n-1]
-	}
 	if rep.Completed > 0 {
 		rep.ShedRate = float64(rep.ShedRetried+rep.ShedGaveUp) / float64(rep.Completed)
 		rep.CacheHitRate = float64(rep.CacheHits) / float64(rep.Completed)
 	}
 	if cfg.Log != nil {
 		fmt.Fprintf(cfg.Log,
-			"soak: %d requests, %d clients, %.1f rps, p50=%.1fms p99=%.1fms, shed-gave-up=%d degraded=%d panics=%d mismatches=%d\n",
-			rep.Completed, rep.Clients, rep.ThroughputRPS,
-			rep.LatencyP50MS, rep.LatencyP99MS, rep.ShedGaveUp, rep.Degraded, rep.Panics, rep.Mismatches)
+			"soak: %d requests, %d clients, %.1f rps, shed-gave-up=%d degraded=%d panics=%d mismatches=%d\n",
+			rep.Completed, rep.Clients, rep.ThroughputRPS, rep.ShedGaveUp, rep.Degraded, rep.Panics, rep.Mismatches)
 	}
 	return rep, ctx.Err()
-}
-
-// percentile returns the p-quantile of sorted (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *SoakReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

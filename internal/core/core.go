@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"sufsat/internal/boolexpr"
@@ -102,9 +101,6 @@ type Options struct {
 	Method Method
 	// SepThreshold is SEP_THOLD; 0 means DefaultSepThreshold.
 	SepThreshold int
-	// MaxTrans caps EIJ transitivity constraints (0 = unlimited).
-	// Deprecated: alias for MaxTransClauses, which wins when both are set.
-	MaxTrans int
 	// MaxTransClauses caps EIJ transitivity-constraint generation. Under the
 	// Hybrid method with degradation on (NoDegrade unset), routing counts
 	// each class's transitivity clauses exactly before encoding and sends a
@@ -142,12 +138,8 @@ type Options struct {
 	// in DIMACS format before the SAT search starts, for use with external
 	// solvers.
 	DumpCNF io.Writer
-	// Interrupt, when non-nil and set, cancels the run with a Canceled
-	// status at the next check point. Legacy shim: it is wrapped into the
-	// run's context by a poller; prefer cancelling the DecideCtx context.
-	Interrupt *atomic.Bool
-	// Timeout bounds the total wall-clock time (0 = none). Legacy shim:
-	// applied as a context deadline on the DecideCtx context.
+	// Timeout bounds the total wall-clock time (0 = none), applied as a
+	// deadline on the DecideCtx context.
 	Timeout time.Duration
 	// Hook, when non-nil, is called at entry to each named pipeline stage
 	// (see Stages); a non-nil return aborts the run with the error's
@@ -160,14 +152,6 @@ type Options struct {
 	// exit path. nil disables all of it at the cost of an untaken branch per
 	// stage (the nil-sink fast path).
 	Telemetry *obs.Recorder
-}
-
-// transBudget returns the effective transitivity-clause cap.
-func (o *Options) transBudget() int {
-	if o.MaxTransClauses > 0 {
-		return o.MaxTransClauses
-	}
-	return o.MaxTrans
 }
 
 // Stats aggregates pipeline measurements — the quantities the paper's
@@ -217,47 +201,18 @@ type Result struct {
 }
 
 // Decide checks validity of the SUF formula f (built in b) under a
-// background context. Cancellation is still available through the legacy
-// Options.Interrupt and Options.Timeout fields.
+// background context; Options.Timeout still bounds the run.
 func Decide(f *suf.BoolExpr, b *suf.Builder, opts Options) *Result {
 	return DecideCtx(context.Background(), f, b, opts)
 }
 
-// wrapLegacy derives the effective run context from the legacy Options
-// fields: Timeout becomes a context deadline and Interrupt a cancellation
-// poller. A flag already set on entry cancels at once, so even a run that
-// finishes before the first poll returns Canceled. The returned cancel must
-// be called to release the poller.
-func wrapLegacy(ctx context.Context, opts *Options) (context.Context, context.CancelFunc) {
-	cancel := func() {}
-	if opts.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+// withTimeout derives the run context: a positive Options.Timeout becomes
+// a deadline on ctx. The returned cancel must be called.
+func withTimeout(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
 	}
-	if opts.Interrupt != nil {
-		ictx, icancel := context.WithCancel(ctx)
-		interrupt := opts.Interrupt
-		if interrupt.Load() {
-			icancel()
-		}
-		go func() {
-			t := time.NewTicker(time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-ictx.Done():
-					return
-				case <-t.C:
-					if interrupt.Load() {
-						icancel()
-						return
-					}
-				}
-			}
-		}()
-		outer := cancel
-		ctx, cancel = ictx, func() { icancel(); outer() }
-	}
-	return ctx, cancel
+	return ctx, func() {}
 }
 
 // DecideCtx checks validity of the SUF formula f (built in b). Cancelling
@@ -270,7 +225,7 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := wrapLegacy(ctx, &opts)
+	ctx, cancel := withTimeout(ctx, opts.Timeout)
 	defer cancel()
 	deadline, _ := ctx.Deadline()
 	threshold := opts.SepThreshold
@@ -564,7 +519,7 @@ func route(ctx context.Context, info *sep.Info, opts Options, threshold int) (ro
 		return rt, nil
 	}
 	start := time.Now()
-	budget := opts.transBudget()
+	budget := opts.MaxTransClauses
 	if budget <= 0 {
 		budget = DefaultTransBudget
 	}
@@ -601,7 +556,7 @@ func encode(ctx context.Context, info *sep.Info, b *suf.Builder, bb *boolexpr.Bu
 	sdEnc = smalldomain.NewEncoder(info, b, bb)
 	sdEnc.Ctx = ctx
 	eijEnc := perconstraint.NewEncoder(info, b, bb)
-	eijEnc.MaxTrans = opts.transBudget()
+	eijEnc.MaxTrans = opts.MaxTransClauses
 	eijEnc.Ctx = ctx
 
 	encodeSD, encodeEIJ := sdEnc.EncodeAtom, eijEnc.EncodeAtom

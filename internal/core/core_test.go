@@ -220,7 +220,7 @@ func TestTranslationLimitSurfacesAsResourceOut(t *testing.T) {
 				b.Lt(b.Sym(fmt.Sprintf("v%d", j)), b.Sym(fmt.Sprintf("v%d", i)))))
 		}
 	}
-	res := Decide(f, b, Options{Method: EIJ, MaxTrans: 5})
+	res := Decide(f, b, Options{Method: EIJ, MaxTransClauses: 5})
 	if res.Status != ResourceOut || !errors.Is(res.Err, perconstraint.ErrTranslationLimit) {
 		t.Fatalf("got (%v, %v), want translation-limit ResourceOut", res.Status, res.Err)
 	}

@@ -63,9 +63,7 @@ func clampDur(v *time.Duration, max time.Duration) bool {
 }
 
 // Clamp tightens o in place to the ceilings and returns the names of the
-// fields it changed (nil when o already conformed). Both the legacy MaxTrans
-// alias and MaxTransClauses are clamped so the effective budget respects the
-// ceiling regardless of which field the caller set.
+// fields it changed (nil when o already conformed).
 func (l Limits) Clamp(o *Options) []string {
 	var clamped []string
 	if clampDur(&o.Timeout, l.MaxTimeout) {
@@ -77,14 +75,6 @@ func (l Limits) Clamp(o *Options) []string {
 	if l.MaxSolverWorkers > 0 && o.SolverWorkers > l.MaxSolverWorkers {
 		o.SolverWorkers = l.MaxSolverWorkers
 		clamped = append(clamped, "solver_workers")
-	}
-	if l.MaxTransClauses > 0 && o.MaxTrans != 0 {
-		// Fold the deprecated alias into the canonical field so one clamp
-		// covers both.
-		if o.MaxTransClauses == 0 {
-			o.MaxTransClauses = o.MaxTrans
-		}
-		o.MaxTrans = 0
 	}
 	if clampInt(&o.MaxTransClauses, l.MaxTransClauses) {
 		clamped = append(clamped, "max_trans_clauses")

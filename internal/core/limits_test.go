@@ -79,30 +79,6 @@ func TestClampSolverWorkersDownwardOnly(t *testing.T) {
 	}
 }
 
-func TestClampFoldsLegacyMaxTrans(t *testing.T) {
-	// The deprecated MaxTrans alias folds into MaxTransClauses before
-	// clamping, whichever field the caller set.
-	l := Limits{MaxTransClauses: 100}
-	o := Options{MaxTrans: 1000}
-	got := l.Clamp(&o)
-	if !reflect.DeepEqual(got, []string{"max_trans_clauses"}) {
-		t.Errorf("clamped fields %v", got)
-	}
-	if o.MaxTrans != 0 || o.MaxTransClauses != 100 {
-		t.Errorf("alias not folded and clamped: MaxTrans=%d MaxTransClauses=%d",
-			o.MaxTrans, o.MaxTransClauses)
-	}
-	// A conforming alias still folds, without being reported as clamped.
-	o = Options{MaxTrans: 50}
-	if got := l.Clamp(&o); got != nil {
-		t.Errorf("conforming alias reported clamped: %v", got)
-	}
-	if o.MaxTrans != 0 || o.MaxTransClauses != 50 {
-		t.Errorf("conforming alias not folded: MaxTrans=%d MaxTransClauses=%d",
-			o.MaxTrans, o.MaxTransClauses)
-	}
-}
-
 func TestClampIdempotent(t *testing.T) {
 	l := Limits{MaxTimeout: time.Second, MaxCNFClauses: 10, MaxSolverWorkers: 2}
 	o := Options{Timeout: time.Minute, MaxCNFClauses: 99, SolverWorkers: 5}

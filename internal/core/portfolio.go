@@ -64,7 +64,6 @@ func DecidePortfolioCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, op
 			nf := suf.Clone(f, nb)
 			o := opts
 			o.Method = m
-			o.Interrupt = nil // cancellation flows through ctx
 			o.Telemetry = childRec
 			results <- outcome{m, childRec, DecideCtx(ctx, nf, nb, o)}
 		}()

@@ -55,7 +55,7 @@ func TestPortfolioSurvivesEIJBlowup(t *testing.T) {
 	// dense clique to make EIJ translation heavy.
 	f = b.And(f, b.Not(b.And(b.Ge(b.Sym("v0"), b.Sym("v1")), b.And(b.Ge(b.Sym("v1"), b.Sym("v2")), b.Ge(b.Sym("v2"), b.Succ(b.Sym("v0")))))))
 	start := time.Now()
-	res := DecidePortfolio(f, b, Options{Timeout: 60 * time.Second, MaxTrans: 1 << 30})
+	res := DecidePortfolio(f, b, Options{Timeout: 60 * time.Second, MaxTransClauses: 1 << 30})
 	if res.Status == Timeout {
 		t.Fatalf("portfolio timed out: %v", res.Err)
 	}

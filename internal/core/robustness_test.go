@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,13 +12,6 @@ import (
 	"sufsat/internal/perconstraint"
 	"sufsat/internal/suf"
 )
-
-// newInterruptAfter returns a legacy interrupt flag that trips after d.
-func newInterruptAfter(d time.Duration) *atomic.Bool {
-	var flag atomic.Bool
-	time.AfterFunc(d, func() { flag.Store(true) })
-	return &flag
-}
 
 // cliqueFormula returns ∧_{i<j} (vi < vj ∨ vj < vi) over n constants — one
 // class with O(n²) separation predicates, the standard EIJ stress shape.
@@ -340,30 +332,16 @@ func TestPortfolioContainsPanic(t *testing.T) {
 	}
 }
 
-// TestLegacyInterruptStillCancels: the compatibility shim around the old
-// Interrupt flag must keep working and now classifies as Canceled.
-func TestLegacyInterruptStillCancels(t *testing.T) {
-	b := suf.NewBuilder()
-	f := b.Not(pigeonhole(b, 9))
-	var opts Options
-	opts.Method = SD
-	opts.Interrupt = newInterruptAfter(30 * time.Millisecond)
-	res := Decide(f, b, opts)
-	if res.Status != Canceled {
-		t.Fatalf("got %v (%v), want Canceled via legacy Interrupt", res.Status, res.Err)
-	}
-}
-
-// TestPresetInterruptCancelsTinyFormula: a flag already set on entry cancels
-// even a formula that finishes long before the shim's first poll.
-func TestPresetInterruptCancelsTinyFormula(t *testing.T) {
+// TestPreCanceledContextCancelsTinyFormula: a context already canceled on
+// entry cancels even a formula that needs no SAT search at all.
+func TestPreCanceledContextCancelsTinyFormula(t *testing.T) {
 	b := suf.NewBuilder()
 	x, y := b.Sym("x"), b.Sym("y")
 	f := b.Or(b.Eq(x, y), b.Not(b.Eq(x, y)))
-	var flag atomic.Bool
-	flag.Store(true)
-	res := Decide(f, b, Options{Interrupt: &flag})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := DecideCtx(ctx, f, b, Options{})
 	if res.Status != Canceled {
-		t.Fatalf("got %v (%v), want Canceled for a pre-set Interrupt", res.Status, res.Err)
+		t.Fatalf("got %v (%v), want Canceled for a pre-canceled context", res.Status, res.Err)
 	}
 }

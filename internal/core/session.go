@@ -68,7 +68,7 @@ func OpenSession(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Opti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := wrapLegacy(ctx, &opts)
+	ctx, cancel := withTimeout(ctx, opts.Timeout)
 	defer cancel()
 	threshold := opts.SepThreshold
 	if threshold == 0 {
@@ -189,7 +189,7 @@ func (s *Session) DecideAssuming(ctx context.Context, assume map[string]bool) *R
 		ctx = context.Background()
 	}
 	opts := s.opts
-	ctx, cancel := wrapLegacy(ctx, &opts)
+	ctx, cancel := withTimeout(ctx, opts.Timeout)
 	defer cancel()
 	deadline, _ := ctx.Deadline()
 

@@ -22,8 +22,8 @@ const (
 	Invalid
 	// Timeout: the wall-clock deadline was hit.
 	Timeout
-	// Canceled: the caller's context was canceled (or a legacy Interrupt
-	// flag was set) before a verdict was reached.
+	// Canceled: the caller's context was canceled before a verdict was
+	// reached.
 	Canceled
 	// ResourceOut: an explicit resource budget (transitivity clauses, CNF
 	// clauses, SAT conflicts, estimated memory) was exhausted.
@@ -60,7 +60,7 @@ func (s Status) Definitive() bool { return s == Valid || s == Invalid }
 // statuses. They classify the failure; wrapping errors may add detail, so
 // test with errors.Is.
 var (
-	// ErrCanceled reports cancellation via context or a legacy Interrupt.
+	// ErrCanceled reports that the caller's context was canceled.
 	ErrCanceled = errors.New("core: run canceled")
 	// ErrDeadline reports that the wall-clock deadline was hit.
 	ErrDeadline = errors.New("core: deadline exceeded")

@@ -109,12 +109,12 @@ func decide(bm bench.Benchmark, m core.Method, cfg Config) Run {
 	f, b := bm.Build()
 	nodes := suf.CountNodes(f)
 	res := core.DecideCtx(cfg.ctx(), f, b, core.Options{
-		Method:        m,
-		SepThreshold:  cfg.Threshold,
-		MaxTrans:      cfg.MaxTrans,
-		Timeout:       cfg.Timeout,
-		SolverWorkers: cfg.Workers,
-		Telemetry:     cfg.Telemetry,
+		Method:          m,
+		SepThreshold:    cfg.Threshold,
+		MaxTransClauses: cfg.MaxTrans,
+		Timeout:         cfg.Timeout,
+		SolverWorkers:   cfg.Workers,
+		Telemetry:       cfg.Telemetry,
 		// The paper's protocol: a blown translation budget aborts the run like
 		// its translation-stage timeout; degradation would quietly rescue
 		// HYBRID and change the figures.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -358,6 +360,50 @@ func TestRouterHedgeWins(t *testing.T) {
 	}
 	if v, _ := scr.Value("sufrouter_hedge_wins_total"); v < 1 {
 		t.Fatalf("sufrouter_hedge_wins_total = %v, want ≥1", v)
+	}
+}
+
+// TestRouterHedgedP99NoWorseThanUnhedged is the hedging tail-latency gate:
+// the same requests through a hedging and a non-hedging router over the same
+// three backends, one of which answers every request only after a fixed
+// delay. Requests homed on the slow backend pay the whole delay unhedged; a
+// hedge to the next ring node must not make the p99 worse.
+func TestRouterHedgedP99NoWorseThanUnhedged(t *testing.T) {
+	const (
+		slowDelay = 100 * time.Millisecond
+		requests  = 48
+	)
+	a, b, c := newFakeBackend(t, "ok"), newFakeBackend(t, "ok"), newFakeBackend(t, "ok")
+	a.set("ok", slowDelay)
+
+	p99 := func(hedgeDelay time.Duration) (time.Duration, int) {
+		_, srv, _ := newTestRouter(t, Config{HedgeDelay: hedgeDelay, HedgeRatio: 1, HedgeBurst: requests}, a, b, c)
+		lat := make([]time.Duration, 0, requests)
+		fromSlow := 0
+		for i := 0; i < requests; i++ {
+			start := time.Now()
+			resp, hresp := postDecide(t, srv.URL, &server.Request{Formula: fmt.Sprintf("(<= x (+ x %d))", i)})
+			lat = append(lat, time.Since(start))
+			if hresp.StatusCode != http.StatusOK || resp.Status != "valid" {
+				t.Fatalf("request %d: status %d / %q", i, hresp.StatusCode, resp.Status)
+			}
+			if hresp.Header.Get("X-Sufrouter-Backend") == a.url() {
+				fromSlow++
+			}
+		}
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		return lat[(99*len(lat)+99)/100-1], fromSlow
+	}
+
+	unhedged, slowAnswers := p99(-1)
+	if slowAnswers == 0 {
+		t.Fatal("no request was homed on the slow backend: the comparison is vacuous")
+	}
+	hedged, _ := p99(10 * time.Millisecond)
+	t.Logf("p99 hedged %v, unhedged %v (%d of %d requests homed on the slow backend)",
+		hedged, unhedged, slowAnswers, requests)
+	if hedged > unhedged {
+		t.Errorf("hedged p99 %v > unhedged p99 %v", hedged, unhedged)
 	}
 }
 

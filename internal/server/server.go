@@ -80,7 +80,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// Limits are the server ceilings applied to every request's options
 	// (zero fields = the matching option stays request-controlled). The
-	// zero Limits gets MaxTimeout 60s and MaxSolverWorkers GOMAXPROCS.
+	// zero Limits gets MaxTimeout 60s and MaxSolverWorkers 1 — the
+	// sufserved defaults, so a zero Config runs GOMAXPROCS pool workers.
 	Limits sufsat.Limits
 	// MaxRequestBytes caps the request body (0 = 1 MiB).
 	MaxRequestBytes int64
@@ -225,7 +226,7 @@ func New(cfg Config) *Server {
 		cfg.Limits.MaxTimeout = 60 * time.Second
 	}
 	if cfg.Limits.MaxSolverWorkers <= 0 {
-		cfg.Limits.MaxSolverWorkers = runtime.GOMAXPROCS(0)
+		cfg.Limits.MaxSolverWorkers = 1
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0) / cfg.Limits.MaxSolverWorkers

@@ -3,7 +3,9 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -77,6 +79,15 @@ func TestServedProcessSmoke(t *testing.T) {
 		t.Fatalf("ready: %v", err)
 	}
 
+	// A zero Config sizes its pool like sufserved with default flags.
+	zero := server.New(server.Config{})
+	defer zero.Shutdown(ctx) //nolint:errcheck
+	inProc := httptest.NewServer(zero.Handler())
+	defer inProc.Close()
+	if got, want := statuszWorkers(t, inProc.URL), statuszWorkers(t, baseURL); got != want {
+		t.Errorf("zero Config runs %d pool workers, sufserved with default flags %d", got, want)
+	}
+
 	// One valid, one invalid (with model), one malformed.
 	resp, err := c.Decide(ctx, &server.Request{Formula: "(=> (= x y) (= (f x) (f y)))"})
 	if err != nil || resp.Status != "valid" {
@@ -125,4 +136,21 @@ func TestServedProcessSmoke(t *testing.T) {
 	if !strings.Contains(all, "malformed=1") {
 		t.Errorf("audit line does not count the malformed request:\n%s", all)
 	}
+}
+
+// statuszWorkers reads the pool size off a server's /statusz.
+func statuszWorkers(t *testing.T, baseURL string) int {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/statusz")
+	if err != nil {
+		t.Fatalf("statusz: %v", err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Workers int `json:"workers"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode statusz: %v", err)
+	}
+	return st.Workers
 }

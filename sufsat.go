@@ -366,9 +366,6 @@ type Options struct {
 	// Timeout bounds total wall-clock time (0 = none); exceeding it reports
 	// Timeout. Equivalent to a context deadline on DecideContext.
 	Timeout time.Duration
-	// MaxTrans caps eager transitivity-constraint generation (0 = none).
-	// Deprecated: alias for MaxTransClauses, which wins when both are set.
-	MaxTrans int
 	// MaxTransClauses caps eager transitivity-constraint generation. Under
 	// the hybrid method with degradation on (NoDegrade unset), routing counts
 	// each class's transitivity clauses exactly before encoding and sends a
@@ -429,20 +426,60 @@ type Limits = core.Limits
 // except SolverWorkers, whose zero value means "sequential" and therefore
 // only clamps downward.
 func (o *Options) ApplyLimits(l Limits) []string {
-	co := core.Options{
-		Timeout:           o.Timeout,
-		SolverWorkers:     o.SolverWorkers,
-		MaxTrans:          o.MaxTrans,
+	co, _ := o.coreOptions()
+	clamped := l.Clamp(&co)
+	o.Timeout, o.SolverWorkers = co.Timeout, co.SolverWorkers
+	o.MaxTransClauses, o.MaxCNFClauses = co.MaxTransClauses, co.MaxCNFClauses
+	o.MaxConflicts, o.MaxMemoryEstimate = co.MaxConflicts, co.MaxMemoryEstimate
+	return clamped
+}
+
+// coreOptions converts o to the eager pipeline's options. eager reports
+// whether o.Method is one of the eager encodings (hybrid, SD, EIJ); for any
+// other method the returned Method is core.Hybrid.
+func (o *Options) coreOptions() (co core.Options, eager bool) {
+	co = core.Options{
+		SepThreshold:      o.SepThreshold,
 		MaxTransClauses:   o.MaxTransClauses,
 		MaxCNFClauses:     o.MaxCNFClauses,
 		MaxConflicts:      o.MaxConflicts,
 		MaxMemoryEstimate: o.MaxMemoryEstimate,
+		SolverWorkers:     o.SolverWorkers,
+		NoDegrade:         o.NoDegrade,
+		Timeout:           o.Timeout,
+		Ackermann:         o.Ackermann,
+		DumpCNF:           o.DumpCNF,
+		Hook:              o.Hook,
+		Telemetry:         o.Telemetry,
 	}
-	clamped := l.Clamp(&co)
-	o.Timeout, o.SolverWorkers = co.Timeout, co.SolverWorkers
-	o.MaxTrans, o.MaxTransClauses = co.MaxTrans, co.MaxTransClauses
-	o.MaxCNFClauses, o.MaxConflicts, o.MaxMemoryEstimate = co.MaxCNFClauses, co.MaxConflicts, co.MaxMemoryEstimate
-	return clamped
+	switch o.Method {
+	case MethodHybrid:
+		co.Method = core.Hybrid
+	case MethodSD:
+		co.Method = core.SD
+	case MethodEIJ:
+		co.Method = core.EIJ
+	default:
+		return co, false
+	}
+	return co, true
+}
+
+// statsOf projects the eager pipeline's statistics onto the facade's.
+func statsOf(s *core.Stats) Stats {
+	return Stats{
+		Nodes:           s.SUFNodes,
+		SepPreds:        s.SepPreds,
+		Classes:         s.Classes,
+		SDClasses:       s.SDClasses,
+		DemotedClasses:  s.DemotedClasses,
+		PFuncFraction:   s.PFraction,
+		CNFClauses:      s.CNFClauses,
+		ConflictClauses: s.SAT.ConflictClauses,
+		EncodeTime:      s.EncodeTime,
+		SATTime:         s.SATTime,
+		TotalTime:       s.TotalTime,
+	}
 }
 
 // Stats reports pipeline measurements of a Decide call.
@@ -589,54 +626,17 @@ func DecideContext(ctx context.Context, f Formula, opts Options) (res *Result) {
 			TotalTime: r.Stats.Total,
 		}}
 	}
-	var m core.Method
-	switch opts.Method {
-	case MethodHybrid:
-		m = core.Hybrid
-	case MethodSD:
-		m = core.SD
-	case MethodEIJ:
-		m = core.EIJ
-	case MethodPortfolio:
-		// handled below
+	copts, eager := opts.coreOptions()
+	var r *core.Result
+	switch {
+	case opts.Method == MethodPortfolio:
+		r = core.DecidePortfolioCtx(ctx, f.f, f.b.sb, copts)
+	case eager:
+		r = core.DecideCtx(ctx, f.f, f.b.sb, copts)
 	default:
 		return &Result{Status: Error, Err: fmt.Errorf("sufsat: unknown method %v", opts.Method)}
 	}
-	copts := core.Options{
-		Method:            m,
-		SepThreshold:      opts.SepThreshold,
-		MaxTrans:          opts.MaxTrans,
-		MaxTransClauses:   opts.MaxTransClauses,
-		MaxCNFClauses:     opts.MaxCNFClauses,
-		MaxConflicts:      opts.MaxConflicts,
-		MaxMemoryEstimate: opts.MaxMemoryEstimate,
-		SolverWorkers:     opts.SolverWorkers,
-		NoDegrade:         opts.NoDegrade,
-		Timeout:           opts.Timeout,
-		Ackermann:         opts.Ackermann,
-		DumpCNF:           opts.DumpCNF,
-		Hook:              opts.Hook,
-		Telemetry:         opts.Telemetry,
-	}
-	var r *core.Result
-	if opts.Method == MethodPortfolio {
-		r = core.DecidePortfolioCtx(ctx, f.f, f.b.sb, copts)
-	} else {
-		r = core.DecideCtx(ctx, f.f, f.b.sb, copts)
-	}
-	out := &Result{Status: r.Status, Err: r.Err, Stats: Stats{
-		Nodes:           r.Stats.SUFNodes,
-		SepPreds:        r.Stats.SepPreds,
-		Classes:         r.Stats.Classes,
-		SDClasses:       r.Stats.SDClasses,
-		DemotedClasses:  r.Stats.DemotedClasses,
-		PFuncFraction:   r.Stats.PFraction,
-		CNFClauses:      r.Stats.CNFClauses,
-		ConflictClauses: r.Stats.SAT.ConflictClauses,
-		EncodeTime:      r.Stats.EncodeTime,
-		SATTime:         r.Stats.SATTime,
-		TotalTime:       r.Stats.TotalTime,
-	}}
+	out := &Result{Status: r.Status, Err: r.Err, Stats: statsOf(&r.Stats)}
 	out.Telemetry = r.Telemetry
 	if r.Model != nil {
 		out.Counterexample = &Counterexample{m: r.Model}

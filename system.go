@@ -2,6 +2,7 @@ package sufsat
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"sufsat/internal/core"
@@ -99,24 +100,33 @@ func outcome(r *tsys.CheckResult) *CheckOutcome {
 	return out
 }
 
-func sysOpts(opts Options) core.Options {
-	t := opts.Timeout
-	if t == 0 {
-		t = time.Hour
+// sysOpts converts opts for a system check: the eager methods only, with
+// tsys's defaults (a 1 h deadline and a 2,000,000-clause transitivity budget)
+// where opts leaves those unset.
+func sysOpts(opts Options) (core.Options, error) {
+	o, eager := opts.coreOptions()
+	if !eager {
+		return o, fmt.Errorf("sufsat: method %v does not support system checks", opts.Method)
 	}
-	o := tsys.DefaultOptions(t)
-	o.SepThreshold = opts.SepThreshold
-	if opts.MaxTrans != 0 {
-		o.MaxTrans = opts.MaxTrans
+	def := tsys.DefaultOptions(time.Hour)
+	if o.Timeout == 0 {
+		o.Timeout = def.Timeout
 	}
-	return o
+	if o.MaxTransClauses == 0 {
+		o.MaxTransClauses = def.MaxTransClauses
+	}
+	return o, nil
 }
 
 // CheckInductive verifies that prop is an inductive invariant of the system:
 // implied by the initial constraint and preserved by every step.
 func (s *System) CheckInductive(prop Formula, opts Options) (*CheckOutcome, error) {
 	s.b.checkF(prop)
-	r, err := s.s.CheckInductive(prop.f, sysOpts(opts))
+	o, err := sysOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.s.CheckInductive(prop.f, o)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +137,11 @@ func (s *System) CheckInductive(prop Formula, opts Options) (*CheckOutcome, erro
 // system functionally; it reports the first violated depth.
 func (s *System) BMC(prop Formula, depth int, opts Options) (*CheckOutcome, error) {
 	s.b.checkF(prop)
-	r, err := s.s.BMC(prop.f, depth, sysOpts(opts))
+	o, err := sysOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.s.BMC(prop.f, depth, o)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +162,11 @@ func (s *System) BMCIncremental(prop Formula, depth int, opts Options) (*CheckOu
 // ctx aborts the in-progress depth and returns a Timeout outcome.
 func (s *System) BMCIncrementalContext(ctx context.Context, prop Formula, depth int, opts Options) (*CheckOutcome, error) {
 	s.b.checkF(prop)
-	r, err := s.s.BMCSession(ctx, prop.f, depth, sysOpts(opts))
+	o, err := sysOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.s.BMCSession(ctx, prop.f, depth, o)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,15 @@
 package sufsat
 
-import "testing"
+import (
+	"errors"
+	"testing"
 
-func TestSystemTicketLock(t *testing.T) {
+	"sufsat/internal/core"
+)
+
+// ticketLock returns the ticket-lock system and its invariant
+// now_serving <= next_ticket.
+func ticketLock() (*System, Formula) {
 	b := NewBuilder()
 	sys := NewSystem(b)
 	nt := sys.IntVar("next_ticket")
@@ -12,8 +19,11 @@ func TestSystemTicketLock(t *testing.T) {
 	sys.SetNext("next_ticket", b.Ite(acq, nt.Succ(), nt))
 	sys.SetNext("now_serving", b.Ite(rel.And(b.Lt(ns, nt)), ns.Succ(), ns))
 	sys.SetInit(b.Eq(nt, ns))
+	return sys, b.Le(ns, nt)
+}
 
-	inv := b.Le(ns, nt)
+func TestSystemTicketLock(t *testing.T) {
+	sys, inv := ticketLock()
 	res, err := sys.CheckInductive(inv, Options{})
 	if err != nil || !res.Holds {
 		t.Fatalf("invariant must be inductive: %+v %v", res, err)
@@ -21,6 +31,52 @@ func TestSystemTicketLock(t *testing.T) {
 	bmc, err := sys.BMC(inv, 3, Options{})
 	if err != nil || !bmc.Holds {
 		t.Fatalf("BMC must pass: %+v %v", bmc, err)
+	}
+}
+
+// TestSystemHonorsOptions: every System check runs under the caller's
+// method and budgets, not under fixed defaults. The ticket lock's depth-5
+// unrolling needs more than one SAT conflict, and its separation class needs
+// transitivity clauses under EIJ but none under SD. A blown budget surfaces
+// as a ResourceOut error, never as a verdict.
+func TestSystemHonorsOptions(t *testing.T) {
+	checks := map[string]func(*System, Formula, Options) (*CheckOutcome, error){
+		"BMC":            func(s *System, p Formula, o Options) (*CheckOutcome, error) { return s.BMC(p, 5, o) },
+		"BMCIncremental": func(s *System, p Formula, o Options) (*CheckOutcome, error) { return s.BMCIncremental(p, 5, o) },
+		"CheckInductive": func(s *System, p Formula, o Options) (*CheckOutcome, error) { return s.CheckInductive(p, o) },
+	}
+	for name, check := range checks {
+		for _, tc := range []struct {
+			opts  Options
+			holds bool // false: the check must fail with ResourceOut
+		}{
+			{Options{}, true},
+			{Options{Method: MethodEIJ, MaxTransClauses: 1}, false},
+			{Options{Method: MethodSD, MaxTransClauses: 1}, true},
+		} {
+			sys, inv := ticketLock()
+			res, err := check(sys, inv, tc.opts)
+			switch {
+			case tc.holds && (err != nil || !res.Holds):
+				t.Errorf("%s %v: got %+v, %v; want the invariant to hold", name, tc.opts.Method, res, err)
+			case !tc.holds && core.StatusOf(err) != ResourceOut:
+				t.Errorf("%s %v: got %+v, %v; want ResourceOut", name, tc.opts.Method, res, err)
+			}
+		}
+		sys, inv := ticketLock()
+		if _, err := check(sys, inv, Options{Method: MethodLazy}); err == nil {
+			t.Errorf("%s: MethodLazy ran instead of being rejected", name)
+		}
+	}
+	for name, check := range checks {
+		if name == "CheckInductive" {
+			continue // two shallow queries, each decided without a conflict
+		}
+		sys, inv := ticketLock()
+		res, err := check(sys, inv, Options{MaxConflicts: 1})
+		if !errors.Is(err, ErrConflictBudget) {
+			t.Errorf("%s with MaxConflicts 1: got %+v, %v; want %v", name, res, err, ErrConflictBudget)
+		}
 	}
 }
 
